@@ -1,7 +1,7 @@
 """Figure 16 companion: throughput-model evaluation speed and shape."""
 
 from repro.bench.harness import measure_index
-from repro.bench.multithread import thread_sweep, throughput
+from repro.serve.contention import thread_sweep, throughput
 
 
 def test_thread_sweep(benchmark, amzn, workload):

@@ -26,13 +26,23 @@ from __future__ import annotations
 
 import json
 import os
+from unittest import mock
 
 import pytest
 
 from repro.bench.harness import build_index, measure
 from repro.datasets import make_dataset, make_workload
-from repro.memsim import PerfTracer, SiteInterner, TraceRecorder
+from repro.memsim import (
+    FastEngine,
+    PerfTracer,
+    ReferenceEngine,
+    SiteInterner,
+    Tracer,
+    TraceRecorder,
+)
 from repro.search.last_mile import SEARCH_FUNCTIONS
+
+ENGINES = {"reference": ReferenceEngine, "fast": FastEngine}
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -96,7 +106,7 @@ def _drive_percall(tracer):
 
 @pytest.mark.parametrize("engine", ["reference", "fast"])
 def test_hot_access_percall(benchmark, engine):
-    tracer = PerfTracer(engine=engine)
+    tracer = PerfTracer(engine=ENGINES[engine]())
     benchmark(_drive_percall, tracer)
     assert tracer.counters.reads > 0
     if benchmark.stats is not None:
@@ -110,7 +120,7 @@ def test_hot_access_fast_replay(benchmark):
     rec = TraceRecorder(sites=sites)
     _drive_percall(rec)
     trace = rec.finish()
-    tracer = PerfTracer(engine="fast", sites=sites)
+    tracer = PerfTracer(sites=sites)
     benchmark(tracer.replay, trace)
     assert tracer.counters.reads >= len(_HOT_ADDRS)
     if benchmark.stats is not None:
@@ -124,7 +134,7 @@ def test_hot_access_fast_replay(benchmark):
 # --------------------------------------------------------------------
 
 
-class _CountingTee:
+class _CountingTee(Tracer):
     """Forwarding tracer that counts raw (uncompressed) events."""
 
     def __init__(self, inner):
@@ -160,7 +170,7 @@ def mixed_trace(amzn, workload):
 @pytest.mark.parametrize("engine", ["reference", "fast"])
 def test_mixed_trace_replay(benchmark, mixed_trace, engine):
     trace, sites, n_raw = mixed_trace
-    tracer = PerfTracer(engine=engine, sites=sites)
+    tracer = PerfTracer(engine=ENGINES[engine](sites=sites))
     benchmark(tracer.replay, trace)
     if benchmark.stats is not None:
         rate = n_raw / benchmark.stats.stats.mean
@@ -191,8 +201,9 @@ def test_cell_steady_state(benchmark, cell_inputs, engine, replay):
     """Steady-state measurement of one RMI/amzn cell (post-record)."""
     ds, wl = cell_inputs
     built = build_index(ds, "RMI", {"branching": 1024})
-    measure(built, wl, engine=engine, replay=replay, **_CELL_KW)  # record
-    m = benchmark(measure, built, wl, engine=engine, replay=replay, **_CELL_KW)
+    with mock.patch("repro.memsim.tracer.FastEngine", ENGINES[engine]):
+        measure(built, wl, replay=replay, **_CELL_KW)  # record
+        m = benchmark(measure, built, wl, replay=replay, **_CELL_KW)
     assert m.latency_ns > 0
     if benchmark.stats is not None:
         rate = 1.0 / benchmark.stats.stats.mean

@@ -268,9 +268,7 @@ def test_serve_sim_plain(benchmark):
     from repro.serve.core import simulate_open_loop
 
     service, arrivals = _sim_inputs()
-    result = benchmark(
-        simulate_open_loop, service, arrivals, 2, engine="event"
-    )
+    result = benchmark(simulate_open_loop, service, arrivals, 2)
     assert len(result.requests) == _SIM_N_REQUESTS
     assert result.telemetry is None
     if benchmark.stats is not None:
@@ -285,8 +283,7 @@ def test_serve_sim_telemetry_on(benchmark):
     service, arrivals = _sim_inputs()
     cfg = TelemetryConfig(window_ns=float(arrivals[-1]) / 12.0)
     result = benchmark(
-        simulate_open_loop, service, arrivals, 2, engine="event",
-        telemetry=cfg,
+        simulate_open_loop, service, arrivals, 2, telemetry=cfg
     )
     assert result.telemetry is not None
     if benchmark.stats is not None:

@@ -6,12 +6,12 @@ trajectory for the serving subsystem:
 
 * ``cells_per_sec`` — full ext_serving measurement cells, end to end;
 * ``sim_events_per_sec`` / ``sim_events_per_sec_fast`` — discrete
-  events per second through each serving engine on the single-queue
-  open-loop microbench (the fast engine runs the vectorized Lindley
-  kernel there);
-* ``cluster_requests_per_sec_event`` / ``_fast`` — sharded-cluster
-  simulation throughput per engine (the fast engine's sealed event
-  queue; the kernel does not apply);
+  events per second on the single-queue open-loop microbench, through
+  the event loop and through ``simulate_open_loop`` (which takes the
+  vectorized Lindley kernel there), and their ratio
+  ``fast_engine_speedup``;
+* ``cluster_requests_per_sec_event`` — sharded-cluster simulation
+  throughput on the event loop (the kernel does not apply);
 * ``selector_sweep_*_seconds`` — wall-clock of an SLO candidate sweep
   routed through ``run_sim_tasks``: cold at ``--jobs 1``, cold at
   ``--jobs 4``, and replayed from a warm ``SimResultCache``.
@@ -38,6 +38,7 @@ from repro.serve import (
     throughput,
 )
 from repro.serve.cluster import Cluster, simulate_cluster
+from repro.serve.core import _open_loop_events
 from repro.serve.router import RouterPolicy, ShardMap
 from repro.serve.selector import select_under_slo
 from repro.serve.sweep import clear_sim_results
@@ -70,7 +71,7 @@ def _write_bench_serving_json():
 
 
 # ---------------------------------------------------------------------------
-# open-loop engines
+# open loop: event loop vs the Lindley kernel
 # ---------------------------------------------------------------------------
 
 
@@ -80,16 +81,18 @@ def rmi_service(amzn, workload):
     return m, ServiceModel(m.counters)
 
 
-@pytest.mark.parametrize("engine", ["event", "fast"])
-def test_open_loop_engine(benchmark, rmi_service, engine):
-    """Single-queue open loop at 70% load: the fast engine's Lindley
-    kernel vs the reference heapq event loop."""
+@pytest.mark.parametrize(
+    "engine,simulate",
+    [("event", _open_loop_events), ("fast", simulate_open_loop)],
+    ids=["event", "fast"],
+)
+def test_open_loop_engine(benchmark, rmi_service, engine, simulate):
+    """Single-queue open loop at 70% load: the Lindley kernel that
+    ``simulate_open_loop`` takes vs the heapq event loop."""
     m, service = rmi_service
     rate = 0.7 * throughput(m, 1).lookups_per_sec
     arrivals = poisson_arrivals(rate, 5_000, seed=0)
-    result = benchmark(
-        simulate_open_loop, service, arrivals, n_cores=1, engine=engine
-    )
+    result = benchmark(simulate, service, arrivals, n_cores=1)
     assert len(result.requests) == 5_000
     if benchmark.stats is not None:
         events = 2 * len(result.requests) + result.total_steals
@@ -98,13 +101,13 @@ def test_open_loop_engine(benchmark, rmi_service, engine):
 
 
 # ---------------------------------------------------------------------------
-# sharded cluster engines
+# sharded cluster
 # ---------------------------------------------------------------------------
 
 N_CLUSTER_REQ = 2_500
 
 
-def _cluster_run(engine):
+def _cluster_run():
     rate = 4e6
     span = N_CLUSTER_REQ / rate * 1e9
     cluster = Cluster(
@@ -120,17 +123,16 @@ def _cluster_run(engine):
     )
     arrivals = poisson_arrivals(rate, N_CLUSTER_REQ, seed=0)
     keys = [(13 * i) % 1000 for i in range(N_CLUSTER_REQ)]
-    return simulate_cluster(cluster, arrivals, keys, engine=engine)
+    return simulate_cluster(cluster, arrivals, keys)
 
 
-@pytest.mark.parametrize("engine", ["event", "fast"])
-def test_cluster_engine(benchmark, engine):
+def test_cluster_engine(benchmark):
     """Sharded, replicated, hedged cluster: the kernel never applies, so
-    this times the sealed-queue event loop against the reference."""
-    result = benchmark(_cluster_run, engine)
+    this times the event loop."""
+    result = benchmark(_cluster_run)
     assert len(result.records) == N_CLUSTER_REQ
     if benchmark.stats is not None:
-        _RATES[f"cluster_requests_per_sec_{engine}"] = (
+        _RATES["cluster_requests_per_sec_event"] = (
             N_CLUSTER_REQ / benchmark.stats.stats.mean
         )
 

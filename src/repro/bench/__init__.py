@@ -10,9 +10,9 @@ from repro.bench.harness import (
     measure,
     measure_index,
 )
-from repro.bench.multithread import MachineModel, ThroughputPoint, throughput
 from repro.bench.parallel import RunnerStats, run_cells
 from repro.bench.stats import RegressionResult, ols
+from repro.serve.contention import MachineModel, ThroughputPoint, throughput
 
 __all__ = [
     "BenchSettings",

@@ -22,8 +22,6 @@ from repro.bench.experiments import EXPERIMENTS
 from repro.bench.parallel import collect_cells, resolve_jobs, run_cells
 from repro.bench.report import format_runner_stats
 from repro.datasets.loader import DATASET_NAMES
-from repro.memsim.engine import ENGINE_NAMES
-from repro.serve.fastsim import SERVE_ENGINE_NAMES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,22 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the persistent measurement cache",
     )
     parser.add_argument(
-        "--memsim-engine",
-        choices=ENGINE_NAMES,
-        default=None,
-        help="simulated-CPU engine (default: $REPRO_MEMSIM_ENGINE or "
-        "reference); engines are counter-identical, so this only "
-        "changes wall-clock speed",
-    )
-    parser.add_argument(
-        "--serve-engine",
-        choices=SERVE_ENGINE_NAMES,
-        default=None,
-        help="serving-simulation engine (default: $REPRO_SERVE_ENGINE or "
-        "event); engines are byte-identical, so this only changes "
-        "wall-clock speed",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="attribute per-lookup counters to model/search phases "
@@ -138,21 +120,6 @@ def settings_from_args(args) -> BenchSettings:
         settings.cache_dir = None
     else:
         settings.cache_dir = args.cache_dir or default_cache_dir()
-    if args.memsim_engine is not None:
-        settings.memsim_engine = args.memsim_engine
-        # The engine choice travels as ambient state so pool workers
-        # (spawned by run_cells) inherit it along with in-process code.
-        import os
-
-        os.environ["REPRO_MEMSIM_ENGINE"] = args.memsim_engine
-    if args.serve_engine is not None:
-        settings.serve_engine = args.serve_engine
-        # Same ambient pattern as the memsim engine: simulation pool
-        # workers (repro.serve.sweep) inherit the choice via the
-        # environment, and it stays out of every cache key.
-        import os
-
-        os.environ["REPRO_SERVE_ENGINE"] = args.serve_engine
     if args.profile:
         settings.profile = True
         # Same ambient pattern: workers see REPRO_OBS_PROFILE and

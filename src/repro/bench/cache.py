@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import tempfile
+import warnings
 
 from dataclasses import fields
 from typing import Optional
@@ -27,6 +28,7 @@ from typing import Optional
 from repro.bench.cells import MeasureCell
 from repro.bench.harness import Measurement
 from repro.memsim.counters import PerfCounters, PerfCountersF
+from repro.obs import metrics as obs_metrics
 from repro.obs.phase import profiling_enabled
 
 #: Bump when measurement semantics change (simulator, cost model, or the
@@ -37,6 +39,37 @@ CACHE_SCHEMA_VERSION = 1
 DEFAULT_CACHE_DIR = os.path.join(".repro_cache", "measurements")
 
 _COUNTER_NAMES = tuple(f.name for f in fields(PerfCountersF))
+
+
+#: Corrupt-entry counters already warned about in this process.
+_warned_corrupt: set = set()
+
+
+def _load_entry(path: str, field: str, counter: str):
+    """``entry[field]`` of the JSON record at ``path``; None if absent.
+
+    An entry that exists but cannot be read or parsed (a truncated
+    write, a foreign file under the key) is also a miss -- the caller
+    recomputes and overwrites it -- but it is counted under ``counter``
+    and warned about once per process, so silent corruption shows up.
+    """
+    try:
+        with open(path) as f:
+            return json.load(f)[field]
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        obs_metrics.get_registry().counter(counter).inc()
+        if counter not in _warned_corrupt:
+            _warned_corrupt.add(counter)
+            warnings.warn(
+                f"ignoring corrupt cache entry {path} ({exc!r}) and "
+                f"recomputing it; corrupt entries are counted in "
+                f"{counter}, and this warning is shown once per process",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return None
 
 
 def default_cache_dir() -> str:
@@ -120,9 +153,9 @@ def sim_key(task, schema_version: Optional[int] = None) -> str:
     ``task`` is any object with a ``key_fields() -> dict`` of JSON
     scalars (the :mod:`repro.serve.sweep` task dataclasses).  Like
     :func:`cache_key`, the hash canonicalizes ordering and embeds the
-    schema version.  The serving engine is deliberately NOT part of any
-    task's key fields: engines are byte-identical, so one cached record
-    serves both (``tests/test_serve_sweep.py`` pins this invariance).
+    schema version.  Whether a run took the Lindley kernel or the event
+    loop is deliberately NOT part of any task's key fields: both paths
+    are byte-identical, so one cached record serves either.
     """
     if schema_version is None:
         schema_version = CACHE_SCHEMA_VERSION
@@ -147,21 +180,20 @@ class MeasurementCache:
         return os.path.join(self.directory, cache_key(cell) + ".json")
 
     def get(self, cell: MeasureCell) -> Optional[Measurement]:
-        path = self._path(cell)
-        try:
-            with open(path) as f:
-                entry = json.load(f)
-        except (OSError, ValueError):
+        record = _load_entry(
+            self._path(cell), "measurement", "bench.cache.corrupt"
+        )
+        if record is None:
             self.misses += 1
             return None
-        if profiling_enabled() and "phases" not in entry["measurement"]:
+        if profiling_enabled() and "phases" not in record:
             # The caller wants phase attribution but this record predates
             # it (or was produced unprofiled): re-execute.  The refreshed
             # record overwrites this one, counters byte-identical.
             self.misses += 1
             return None
         self.hits += 1
-        return measurement_from_record(entry["measurement"])
+        return measurement_from_record(record)
 
     def put(self, cell: MeasureCell, measurement: Measurement) -> None:
         os.makedirs(self.directory, exist_ok=True)
@@ -221,14 +253,14 @@ class SimResultCache:
         return os.path.join(self.directory, sim_key(task) + ".json")
 
     def get(self, task) -> Optional[dict]:
-        try:
-            with open(self._path(task)) as f:
-                entry = json.load(f)
-        except (OSError, ValueError):
+        result = _load_entry(
+            self._path(task), "result", "serve.sweep.cache.corrupt"
+        )
+        if result is None:
             self.misses += 1
             return None
         self.hits += 1
-        return entry["result"]
+        return result
 
     def put(self, task, result: dict) -> None:
         os.makedirs(self.directory, exist_ok=True)

@@ -24,10 +24,8 @@ from repro.core.registry import make_index
 from repro.core.interface import SortedDataIndex
 from repro.datasets.loader import Dataset
 from repro.datasets.workload import Workload
-from repro.learned import kernels
 from repro.memsim.costmodel import XEON_GOLD_6230, CostModel
 from repro.memsim.counters import PerfCounters, PerfCountersF
-from repro.memsim.engine import default_engine_name
 from repro.memsim.memory import AddressSpace, TracedArray
 from repro.memsim.trace import TraceRecorder, TraceStore
 from repro.memsim.tracer import PerfTracer
@@ -58,14 +56,6 @@ class BuiltIndex:
     #: Lazily created by ``measure(..., replay=True)``: recorded lookup
     #: event streams, keyed by (search, key), replayed on repeat lookups.
     traces: Optional[TraceStore] = None
-    #: Lazily created by the vector-engine batched measure path:
-    #: synthesized :class:`~repro.learned.kernels.BatchLookups` plus the
-    #: assembled warmup/measured mega-traces, keyed by
-    #: ``(search, warmup, n_lookups)`` and pinned to the workload object
-    #: they were derived from.  Reusing the trace objects across
-    #: ``measure`` calls is what lets the vector engine reuse its
-    #: compiled plans and replay memos.
-    batches: Optional[dict] = None
 
 
 @dataclass
@@ -135,7 +125,6 @@ def measure(
     search: str = "binary",
     cost_model: CostModel = XEON_GOLD_6230,
     verify: bool = True,
-    engine: Optional[str] = None,
     replay: bool = False,
     profile: Optional[bool] = None,
 ) -> Measurement:
@@ -145,12 +134,10 @@ def measure(
     and TLB are flushed before every measured lookup (the branch predictor
     stays warm, matching the paper's method of flushing only the cache).
 
-    ``engine`` selects the memsim engine (None -> ambient default, see
-    ``repro.memsim.engine``); both engines are counter-identical, so the
-    choice never changes the measurement.  ``replay=True`` records each
-    (search, key) lookup's event stream into ``built.traces`` on first
-    execution and replays it on repeats -- sound because tracer calls
-    return ``None``, so the stream is independent of simulator state.
+    ``replay=True`` records each (search, key) lookup's event stream
+    into ``built.traces`` on first execution and replays it on repeats
+    -- sound because tracer calls return ``None``, so the stream is
+    independent of simulator state.
     Repeat-heavy callers (``measure_repeated``, warm/cold pairs over one
     build) get the speedup; one-shot grid cells default to off.
 
@@ -173,34 +160,12 @@ def measure(
     if profile is None:
         profile = profiling_enabled()
 
-    if (
-        not profile
-        and n_work > 0
-        and search in kernels.BATCH_SEARCHES
-        and kernels.supports(index)
-        and not getattr(index, "mutating_lookups", False)
-        and _engine_name(engine) == "vector"
-    ):
-        # Batched path: one kernel call synthesizes every distinct
-        # lookup's event stream, then the vector engine replays the
-        # warmup and measured windows wholesale.  Counter-identical to
-        # the loop below (same event stream at both snapshot points);
-        # unsupported indexes/searches, mutating lookups, and profiling
-        # fall back to the per-lookup loop (whose per-event path under
-        # the vector engine is the fast engine's).
-        return _measure_batched(
-            built, workload, n_lookups, warmup, warm, search,
-            cost_model, verify, engine,
-        )
-
     store = None
     if replay and not profile and not getattr(index, "mutating_lookups", False):
         if built.traces is None:
             built.traces = TraceStore()
         store = built.traces
-    tracer = PerfTracer(
-        engine=engine, sites=store.sites if store is not None else None
-    )
+    tracer = PerfTracer(sites=store.sites if store is not None else None)
     if profile:
         tracer = PhaseTracer(tracer)
     replay_trace = tracer.replay
@@ -304,141 +269,13 @@ def measure(
     )
 
 
-def _engine_name(engine) -> Optional[str]:
-    """Resolve ``measure``'s engine argument to an engine name."""
-    if engine is None:
-        return default_engine_name()
-    if isinstance(engine, str):
-        return engine
-    return getattr(engine, "name", None)
+def _measure_batched(*args, **kwargs):
+    """Removed batched measure path; raises if called.
 
-
-def _measure_batched(
-    built: BuiltIndex,
-    workload: Workload,
-    n_lookups: int,
-    warmup: int,
-    warm: bool,
-    search: str,
-    cost_model: CostModel,
-    verify: bool,
-    engine,
-) -> Measurement:
-    """Vectorized measure: kernel-synthesized streams + batch replay.
-
-    Produces the same :class:`Measurement` as the scalar loop, byte for
-    byte: the synthesized per-key event streams equal the scalar ones
-    (``repro.learned.kernels``), the warmup/measured windows replay the
-    same lookup sequence around the same snapshot boundary, and
-    ``avg_log2_bound`` accumulates per-lookup floats in the same order.
+    Kept only because the repository benchmark (``perfbench/``) wraps
+    this name when it traces a run.
     """
-    index = built.index
-    data = built.data
-    n = len(data)
-    keys = workload.keys_py
-    truths = workload.positions_py
-    n_work = len(keys)
-    point_only = index.point_only
-
-    tracer = PerfTracer(engine=engine)
-    # Synthesis and mega-trace assembly are pure functions of the
-    # (index, workload, window) tuple, so they are cached on the built
-    # index; repeat measures then hit the traces' compiled plans and
-    # replay memos (see repro.memsim.vector).
-    cache_key = (search, warmup, n_lookups)
-    entry = built.batches.get(cache_key) if built.batches else None
-    if entry is not None and entry[0] is not workload:
-        entry = None
-    if entry is None:
-        # The scalar loops: warmup lookups i, measured lookups warmup+i.
-        warm_seq = [i % n_work for i in range(min(warmup, max(n_work, 1)))]
-        meas_seq = [(warmup + i) % n_work for i in range(n_lookups)]
-        need = sorted(set(warm_seq) | set(meas_seq))
-        uniq, inv = np.unique(
-            np.array([keys[i] for i in need], dtype=np.uint64),
-            return_inverse=True,
-        )
-        batch = kernels.batch_lookups(
-            index, data, built.payloads, uniq, search, tracer.sites
-        )
-        row_of = dict(zip(need, (int(r) for r in inv)))
-        warm_rows = [row_of[i] for i in warm_seq]
-        meas_rows = [row_of[i] for i in meas_seq]
-        entry = (
-            workload,
-            batch,
-            meas_seq,
-            meas_rows,
-            batch.mega_trace(warm_rows) if warm_rows else None,
-            batch.mega_trace(meas_rows) if meas_rows else None,
-        )
-        if built.batches is None:
-            built.batches = {}
-        elif len(built.batches) >= 8:
-            built.batches.clear()
-        built.batches[cache_key] = entry
-    _, batch, meas_seq, meas_rows, warm_trace, meas_trace = entry
-
-    if verify:
-        # Same check, same failure order, as the scalar measured loop.
-        pos_l = batch.pos.tolist()
-        lo_l = batch.lo.tolist()
-        hi_l = batch.hi.tolist()
-        for i, r in zip(meas_seq, meas_rows):
-            pos = pos_l[r]
-            truth = truths[i]
-            if not (pos == truth or (point_only and truth >= n)):
-                raise LookupError_(
-                    f"{index.name}: key {keys[i]} -> position {pos}, "
-                    f"expected {truth} (bound [{lo_l[r]}, {hi_l[r]}))"
-                )
-
-    lg = batch.lg
-    with obs_spans.span(
-        "measure",
-        index=index.name,
-        dataset=built.dataset.name,
-        n_lookups=n_lookups,
-        warmup=warmup,
-        search=search,
-        warm=warm,
-        profile=False,
-    ):
-        if warm_trace is not None:
-            tracer.replay(warm_trace)
-        base = tracer.snapshot()
-        log2_sum = 0.0
-        if warm:
-            if meas_trace is not None:
-                tracer.replay(meas_trace)
-            for r in meas_rows:
-                log2_sum += lg[r]
-        else:
-            # Cold-cache: flush before every measured lookup, so each
-            # lookup replays individually (per-row plans are cached).
-            for r in meas_rows:
-                tracer.flush_caches()
-                tracer.replay(batch.trace_for(r))
-                log2_sum += lg[r]
-        counters = (tracer.snapshot() - base).per_lookup(n_lookups)
-
-    return Measurement(
-        index=index.name,
-        dataset=built.dataset.name,
-        config=built.config,
-        n_keys=n,
-        size_bytes=index.size_bytes(),
-        build_seconds=index.build_seconds,
-        counters=counters,
-        latency_ns=cost_model.latency_ns(counters, fence=False),
-        fence_latency_ns=cost_model.latency_ns(counters, fence=True),
-        avg_log2_bound=log2_sum / max(n_lookups, 1),
-        n_lookups=n_lookups,
-        warm=warm,
-        search=search,
-        key_bits=built.dataset.key_bits,
-        phases=None,
-    )
+    raise NotImplementedError("the batched measure path was removed")
 
 
 def measure_index(

@@ -27,15 +27,12 @@ from repro.memsim.tracer import NULL_TRACER, NullTracer, PerfTracer, Tracer
 from repro.memsim.cache import Cache, CacheHierarchy
 from repro.memsim.branch import BranchPredictor
 from repro.memsim.engine import (
-    ENGINE_NAMES,
     FastEngine,
     ReferenceEngine,
     SiteInterner,
     default_engine_name,
-    make_engine,
 )
 from repro.memsim.trace import Trace, TraceRecorder, TraceStore
-from repro.memsim.vector import VectorEngine
 from repro.memsim.memory import AddressSpace, TracedArray
 from repro.memsim.costmodel import CostModel, XEON_GOLD_6230
 
@@ -48,13 +45,10 @@ __all__ = [
     "Cache",
     "CacheHierarchy",
     "BranchPredictor",
-    "ENGINE_NAMES",
     "FastEngine",
     "ReferenceEngine",
-    "VectorEngine",
     "SiteInterner",
     "default_engine_name",
-    "make_engine",
     "Trace",
     "TraceRecorder",
     "TraceStore",

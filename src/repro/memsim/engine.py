@@ -1,4 +1,4 @@
-"""Pluggable memsim engines: reference (executable spec) and fast.
+"""Memsim engines: fast (production) and reference (executable spec).
 
 Every number the benchmark produces flows through the simulated CPU, and
 Section 4.3 of the paper argues lookup latency is a linear function of
@@ -20,16 +20,13 @@ freedom is what this module exploits:
   ``tests/test_memsim_differential.py`` enforces that with hypothesis,
   and the committed golden grids must pass under it unchanged.
 
-Engine selection is ambient by design: the measurement-cache key does
-*not* include the engine (both engines are the same measurement), so the
-choice travels via ``PerfTracer(engine=...)``, the ``--memsim-engine``
-CLI flag, or the ``REPRO_MEMSIM_ENGINE`` environment variable -- the
-last of which is what parallel workers inherit.  See ``docs/memsim.md``.
+``FastEngine`` is the only engine production code builds (``PerfTracer``
+defaults to it); ``ReferenceEngine`` is reached by constructing it, or
+by handing ``PerfTracer`` its own cache/predictor/TLB component objects.
+See ``docs/memsim.md``.
 """
 
 from __future__ import annotations
-
-import os
 
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
@@ -39,22 +36,11 @@ from repro.memsim.cache import LINE_SIZE, CacheHierarchy
 from repro.memsim.counters import PerfCounters
 from repro.memsim.tlb import PAGE_SHIFT, TLB
 
-#: Engine names accepted by :func:`make_engine` and ``REPRO_MEMSIM_ENGINE``.
-ENGINE_NAMES = ("reference", "fast", "vector")
-
-_ENV_VAR = "REPRO_MEMSIM_ENGINE"
-
 
 def default_engine_name() -> str:
-    """Ambient engine choice: ``REPRO_MEMSIM_ENGINE`` or ``reference``."""
-    name = os.environ.get(_ENV_VAR, "").strip().lower()
-    if not name:
-        return "reference"
-    if name not in ENGINE_NAMES:
-        raise ValueError(
-            f"{_ENV_VAR}={name!r}: expected one of {ENGINE_NAMES}"
-        )
-    return name
+    """Name of the engine ``PerfTracer`` builds by default (run manifests
+    record it)."""
+    return FastEngine.name
 
 
 class SiteInterner:
@@ -248,7 +234,7 @@ class FastEngine:
     def _no_components(self) -> None:
         raise AttributeError(
             "the fast engine has no reference component objects; construct "
-            "PerfTracer(engine='reference') to inspect caches/predictor/tlb"
+            "a ReferenceEngine to inspect caches/predictor/tlb"
         )
 
     @property
@@ -448,34 +434,6 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
     def n_branch_sites():
         return sum(1 for s in bst if s >= 0)
 
-    # -- state hooks for the vector engine --------------------------------
-    #
-    # The vector replay path (repro.memsim.vector) reuses this namespace's
-    # mutable structures directly and runs its own batch loop over them.
-    # Lists/dicts are shared by reference; the scalar counters and the
-    # MRU shortcuts travel through the getter/setter pair because they
-    # are closure nonlocals.
-
-    def _structs():
-        return (
-            l1_sets, n1, l2_sets, n2, l3_sets, n3,
-            tlb1, tlb1_cap, tlb2, tlb2_cap, bst,
-        )
-
-    def _get_hot():
-        return (
-            instr_c, br_c, brm_c, reads_c,
-            l1h, l2h, l3h, llc, tlbm, ultra_line, mru_page,
-        )
-
-    def _set_hot(values):
-        nonlocal instr_c, br_c, brm_c, reads_c
-        nonlocal l1h, l2h, l3h, llc, tlbm, ultra_line, mru_page
-        (
-            instr_c, br_c, brm_c, reads_c,
-            l1h, l2h, l3h, llc, tlbm, ultra_line, mru_page,
-        ) = values
-
     def replay(trace):
         # Fully inlined batch loop over a recorded event stream.  The
         # counters are mirrored into locals and written back in
@@ -639,42 +597,5 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
         "flush_caches": flush_caches,
         "replay": replay,
         "n_branch_sites": n_branch_sites,
-        "_structs": _structs,
-        "_get_hot": _get_hot,
-        "_set_hot": _set_hot,
     }
 
-
-def make_engine(
-    name: Optional[str] = None,
-    caches: Optional[CacheHierarchy] = None,
-    predictor: Optional[BranchPredictor] = None,
-    tlb: Optional[TLB] = None,
-    sites: Optional[SiteInterner] = None,
-):
-    """Build an engine by name (``None`` -> :func:`default_engine_name`).
-
-    Custom component objects imply the reference engine: they carry
-    their own state, which the flat fast structures cannot adopt.
-    """
-    if name is None:
-        name = default_engine_name()
-    if name == "reference":
-        return ReferenceEngine(
-            caches=caches, predictor=predictor, tlb=tlb, sites=sites
-        )
-    if name in ("fast", "vector"):
-        if caches is not None or predictor is not None or tlb is not None:
-            raise ValueError(
-                "custom cache/predictor/TLB objects require "
-                "engine='reference' (the fast and vector engines only "
-                "support geometry parameters)"
-            )
-        if name == "fast":
-            return FastEngine(sites=sites)
-        # Imported lazily: vector.py imports this module for the fast
-        # namespace it builds on.
-        from repro.memsim.vector import VectorEngine
-
-        return VectorEngine(sites=sites)
-    raise ValueError(f"unknown memsim engine {name!r}: expected {ENGINE_NAMES}")

@@ -56,17 +56,13 @@ class Trace:
     ``count`` one-byte reads of ``addr`` -- both are exact.
     """
 
-    __slots__ = ("kinds", "a", "b", "_lists", "_plan")
+    __slots__ = ("kinds", "a", "b", "_lists")
 
     def __init__(self, kinds, a, b):
         self.kinds = np.asarray(kinds, dtype=np.uint8)
         self.a = np.asarray(a, dtype=np.int64)
         self.b = np.asarray(b, dtype=np.int64)
         self._lists: Optional[Tuple[list, list, list]] = None
-        #: Compiled form for the vector engine (repro.memsim.vector),
-        #: built lazily on first vectorized replay.  A trace is
-        #: immutable, so the plan never invalidates.
-        self._plan = None
 
     def __len__(self) -> int:
         return len(self.kinds)

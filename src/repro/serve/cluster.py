@@ -313,38 +313,23 @@ class ClusterResult:
 
 
 class _ClusterSim:
-    """One run's mutable state; :func:`simulate_cluster` drives it.
-
-    ``engine`` selects the event-queue implementation (``None`` = the
-    ambient default): the fast engine's :class:`~repro.serve.fastsim.
-    SealedEventQueue` batch-sorts the up-front events -- every arrival
-    plus the merged fault timeline -- in one pass instead of heap-pushing
-    them individually, and pops the identical total order, so results
-    are byte-identical across engines.
-    """
+    """One run's mutable state; :func:`simulate_cluster` drives it."""
 
     def __init__(
         self,
         cluster: Cluster,
         horizon_ns: float,
-        engine: Optional[str] = None,
         telemetry: Optional[TelemetryConfig] = None,
     ):
-        from repro.serve import fastsim
-
         self.cluster = cluster
         # The cluster owns the collector (replica loops keep theirs None
-        # so completions are not double counted); all hooks fire from
-        # shared code paths, so telemetry is engine-identical here too.
+        # so completions are not double counted).
         self.telemetry: Optional[TelemetryCollector] = (
             TelemetryCollector(telemetry, n_shards=cluster.n_shards)
             if telemetry is not None
             else None
         )
-        if fastsim.resolve_serve_engine(engine) == "fast":
-            self.events = fastsim.SealedEventQueue()
-        else:
-            self.events = EventHeap()
+        self.events = EventHeap()
         self.replicas: List[List[_Replica]] = []
         for shard in range(cluster.n_shards):
             row = []
@@ -747,7 +732,6 @@ def simulate_cluster(
     arrivals_ns: Sequence[float],
     keys: Sequence[int],
     fault_horizon_ns: Optional[float] = None,
-    engine: Optional[str] = None,
     telemetry: Optional[TelemetryConfig] = None,
 ) -> ClusterResult:
     """Run one open-loop trace through the cluster; fully deterministic.
@@ -756,9 +740,7 @@ def simulate_cluster(
     ``arrivals_ns[i]``; the router shards on it.  ``fault_horizon_ns``
     bounds the fault schedule (default: last arrival plus 25% drain
     slack) -- it only changes which faults exist, never how any given
-    schedule is replayed.  ``engine`` picks the serving engine (``None``
-    = ambient default); engines produce byte-identical results.
-    ``telemetry`` collects a windowed time-series (and, opt-in, attempt
+    schedule is replayed.  ``telemetry`` collects a windowed time-series (and, opt-in, attempt
     traces) without perturbing the run.
     """
     if len(arrivals_ns) != len(keys):
@@ -773,7 +755,6 @@ def simulate_cluster(
     sim = _ClusterSim(
         cluster,
         horizon_ns=fault_horizon_ns,
-        engine=engine,
         telemetry=telemetry,
     )
     sim.load(arrivals_ns, keys)

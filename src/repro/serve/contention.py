@@ -1,7 +1,7 @@
 """Memory-contention model shared by Figure 16 and the serving simulator.
 
-This is the machine model that used to live in ``repro.bench.multithread``
-(which now re-exports it unchanged): cores scale linearly, hyperthreads
+This is the Figure 16 machine model, shared with the serving
+simulator: cores scale linearly, hyperthreads
 contribute a fraction each, and concurrent lookups contend for DRAM
 bandwidth.  Each lookup moves ``llc_misses`` cache lines through memory;
 under load the effective memory latency inflates linearly with consumed

@@ -261,31 +261,36 @@ def simulate_open_loop(
     service: ServiceModel,
     arrivals_ns: Sequence[float],
     n_cores: int,
-    engine: Optional[str] = None,
     telemetry: Optional[TelemetryConfig] = None,
 ) -> ServingResult:
     """Serve pre-generated arrival timestamps (open loop).
 
-    ``engine`` picks the simulation engine (``None`` = the ambient
-    default, ``$REPRO_SERVE_ENGINE`` or ``"event"``).  Engines are
-    byte-identical; the fast engine uses the vectorized Lindley kernel
-    where it applies (:func:`repro.serve.fastsim.kernel_applies`) and
-    otherwise falls back to this event loop over a batch-sorted queue.
-    ``telemetry`` additionally collects a windowed time-series (and,
-    opt-in, attempt traces) without perturbing the simulation; the
-    telemetry too is byte-identical across engines.
+    Single-queue runs take the vectorized Lindley kernel wherever it
+    reproduces the event loop exactly
+    (:func:`repro.serve.fastsim.kernel_applies`); everything else runs
+    the event loop.  Both give byte-identical results.  ``telemetry``
+    additionally collects a windowed time-series (and, opt-in, attempt
+    traces) without perturbing the simulation.
     """
     from repro.serve import fastsim
 
-    events = None
-    if fastsim.resolve_serve_engine(engine) == "fast":
-        result = fastsim.lindley_open_loop(
-            service, arrivals_ns, n_cores, telemetry=telemetry
-        )
-        if result is not None:
-            return result
-        events = fastsim.SealedEventQueue()
-    loop = _EventLoop(service, n_cores, events=events)
+    result = fastsim.lindley_open_loop(
+        service, arrivals_ns, n_cores, telemetry=telemetry
+    )
+    if result is not None:
+        return result
+    return _open_loop_events(service, arrivals_ns, n_cores, telemetry)
+
+
+def _open_loop_events(
+    service: ServiceModel,
+    arrivals_ns: Sequence[float],
+    n_cores: int,
+    telemetry: Optional[TelemetryConfig] = None,
+) -> ServingResult:
+    """The open loop on the discrete-event loop, never the kernel: the
+    executable spec the kernel is tested against."""
+    loop = _EventLoop(service, n_cores)
     if telemetry is not None:
         loop.telemetry = TelemetryCollector(telemetry)
     for rid, t in enumerate(arrivals_ns):
@@ -306,7 +311,6 @@ def simulate_closed_loop(
     mean_think_ns: float,
     seed: int,
     n_cores: int,
-    engine: Optional[str] = None,
     telemetry: Optional[TelemetryConfig] = None,
 ) -> ServingResult:
     """Closed loop: each client re-issues after completion + think time.
@@ -314,18 +318,11 @@ def simulate_closed_loop(
     Exactly ``n_requests`` requests are issued in total, spread over
     ``n_clients`` concurrent clients (client ``i`` gets its own seeded
     think-time sequence); all clients start at time zero.  Closed-loop
-    arrivals depend on completions, so both engines run this event loop
-    (the fast engine swaps in the batch-sorted queue); results are
-    byte-identical either way.
+    arrivals depend on completions, so this always runs the event loop.
     """
     if n_clients < 1:
         raise ValueError(f"need at least one client, got {n_clients}")
-    from repro.serve import fastsim
-
-    events = None
-    if fastsim.resolve_serve_engine(engine) == "fast":
-        events = fastsim.SealedEventQueue()
-    loop = _EventLoop(service, n_cores, events=events)
+    loop = _EventLoop(service, n_cores)
     if telemetry is not None:
         loop.telemetry = TelemetryCollector(telemetry)
     per_client = (n_requests + n_clients - 1) // n_clients

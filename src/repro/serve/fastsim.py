@@ -1,51 +1,33 @@
-"""Fast serving engine: exact vectorized queueing kernels.
+"""Exact vectorized Lindley kernel for the single-queue open loop.
 
 The discrete-event loop in :mod:`repro.serve.core` is the semantic
 reference, but it pays per-event Python prices: two heap operations and
-a handful of closures per request.  This module is a second *engine*
-behind the same simulator entry points, selected the way memsim engines
-are (:data:`SERVE_ENGINE_NAMES`, ``--serve-engine``,
-``$REPRO_SERVE_ENGINE``), and held to the same bar as PRs 3/5/6:
-**byte-identical results** -- every float in every
-:class:`~repro.serve.core.ServingResult` /
-:class:`~repro.serve.cluster.ClusterResult` record equals the event
-loop's output exactly, which is why the engine choice is deliberately
-*excluded* from every cache key (a cached record is valid under either
-engine).
+a handful of closures per request.  :func:`lindley_open_loop` is a numpy
+Lindley-recursion kernel for the single-queue, no-steal open-loop path,
+and :func:`~repro.serve.core.simulate_open_loop` takes it automatically
+whenever :func:`kernel_applies` holds.  It is held to the event loop's
+bar: **byte-identical results** -- every float in the
+:class:`~repro.serve.core.ServingResult` equals the event loop's output
+exactly, so no cache key needs to know which path produced a record.
 
-Two layers:
-
-* :func:`lindley_open_loop` -- a numpy Lindley-recursion kernel for the
-  single-queue, no-steal open-loop path.  With one core the busy-core
-  count is always 1, so the contention model collapses to one constant
-  service time ``s`` and the waiting-time recursion
-  ``start_i = max(arrival_i, finish_{i-1})`` is exact.  Finish times
-  are chained additions of ``s`` inside each busy period, reproduced
-  bit-for-bit with ``np.cumsum`` (``add.accumulate`` is sequential, so
-  it performs the *same* float additions as the loop).  Busy-period
-  boundaries are *guessed* with a vectorized running max, then
-  *validated* exactly against the recursion; any mismatch falls back to
-  a sequential sweep from the first divergent index -- the kernel never
-  approximates.  Configurations the kernel cannot reproduce exactly
-  (``n_cores > 1``, where work stealing and the busy-count coupling of
-  ``service_time_ns`` make state order-dependent, or unsorted/non-finite
-  arrivals) are detected per-config and refused (:func:`kernel_applies`),
-  falling back to the event loop.
-* :class:`SealedEventQueue` -- a drop-in
-  :class:`~repro.serve.core.EventHeap` for every remaining path (multi-
-  core open loop, closed loop, the cluster and tenancy simulators).
-  Events pushed before the first pop (the bulk: pre-generated arrivals
-  and the merged fault timeline) are batch-sorted *once* instead of
-  heap-pushed one by one; later pushes go to a small side heap.  Pops
-  merge the two streams in ``(time, kind, seq)`` order, so the total
-  order -- and therefore every simulation result -- is identical to one
-  big heap by construction.
+With one core the busy-core count is always 1, so the contention model
+collapses to one constant service time ``s`` and the waiting-time
+recursion ``start_i = max(arrival_i, finish_{i-1})`` is exact.  Finish
+times are chained additions of ``s`` inside each busy period, reproduced
+bit-for-bit with ``np.cumsum`` (``add.accumulate`` is sequential, so it
+performs the *same* float additions as the loop).  Busy-period
+boundaries are *guessed* with a vectorized running max, then
+*validated* exactly against the recursion; any mismatch falls back to a
+sequential sweep from the first divergent index -- the kernel never
+approximates.  Configurations the kernel cannot reproduce exactly
+(``n_cores > 1``, where work stealing and the busy-count coupling of
+``service_time_ns`` make state order-dependent, or unsorted/non-finite
+arrivals) are refused per-config (:func:`kernel_applies`) and run on the
+event loop.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,99 +36,11 @@ from repro.serve import telemetry as tel_mod
 from repro.serve.core import Request, ServiceModel, ServingResult
 from repro.serve.telemetry import TelemetryConfig, TimeSeries
 
-#: Selectable serving engines: the reference discrete-event loop and
-#: this module's vectorized/batched engine.  Results are byte-identical,
-#: so the choice only changes wall-clock speed.
-SERVE_ENGINE_NAMES = ("event", "fast")
-
-_ENV_VAR = "REPRO_SERVE_ENGINE"
-
-
-def default_serve_engine_name() -> str:
-    """Engine named by ``$REPRO_SERVE_ENGINE``, else ``"event"``.
-
-    Engine selection is ambient by design: simulation cache keys do
-    *not* include the engine (results are byte-identical), and pool
-    workers inherit the choice through the environment.
-    """
-    name = os.environ.get(_ENV_VAR)
-    if not name:
-        return "event"
-    if name not in SERVE_ENGINE_NAMES:
-        raise ValueError(
-            f"unknown serving engine {name!r} in ${_ENV_VAR}; "
-            f"known: {', '.join(SERVE_ENGINE_NAMES)}"
-        )
-    return name
-
-
-def resolve_serve_engine(engine: Optional[str] = None) -> str:
-    """Explicit engine name, or the ambient default when ``None``."""
-    if engine is None:
-        return default_serve_engine_name()
-    if engine not in SERVE_ENGINE_NAMES:
-        raise ValueError(
-            f"unknown serving engine {engine!r}; "
-            f"known: {', '.join(SERVE_ENGINE_NAMES)}"
-        )
-    return engine
-
-
-class SealedEventQueue:
-    """Drop-in :class:`~repro.serve.core.EventHeap` with one batch sort.
-
-    Pushes before the first pop accumulate in a plain list and are
-    sorted once ("sealed"); pushes after that go to a conventional side
-    heap.  Sequence numbers are assigned at push time exactly as the
-    heap does, so entries are totally ordered by ``(time, kind, seq)``
-    and payloads are never compared.  Popping the minimum of the two
-    streams yields the same event order as a single heap, hence
-    byte-identical simulations.
-
-    Reconfiguration triggers (:mod:`repro.serve.reconfig`) need no
-    special casing: the declarative schedule rides the static batch
-    alongside arrivals and faults, and runtime-emitted follow-ups (a
-    rebuild's completion, like retries and hedges) land on the side
-    heap -- the total order, and therefore the bytes, match the event
-    engine either way.
-    """
-
-    __slots__ = ("_static", "_cursor", "_heap", "_seq", "_sealed")
-
-    def __init__(self) -> None:
-        self._static: list = []
-        self._cursor = 0
-        self._heap: list = []
-        self._seq = 0
-        self._sealed = False
-
-    def push(self, time_ns: float, kind: int, payload) -> None:
-        entry = (time_ns, kind, self._seq, payload)
-        self._seq += 1
-        if self._sealed:
-            heapq.heappush(self._heap, entry)
-        else:
-            self._static.append(entry)
-
-    def pop(self):
-        if not self._sealed:
-            # Unique seqs make (time, kind, seq) a total order, so the
-            # sort never reaches the payload element.
-            self._static.sort()
-            self._sealed = True
-        cursor = self._cursor
-        if cursor < len(self._static):
-            entry = self._static[cursor]
-            if not self._heap or entry <= self._heap[0]:
-                self._cursor = cursor + 1
-                return entry
-        return heapq.heappop(self._heap)
-
-    def __len__(self) -> int:
-        return (len(self._static) - self._cursor) + len(self._heap)
-
-    def __bool__(self) -> bool:
-        return self._cursor < len(self._static) or bool(self._heap)
+def resolve_serve_engine() -> str:
+    """Name of the serving simulator's one engine: the discrete-event
+    loop (with this module's kernel as its exact single-queue fast
+    path)."""
+    return "event"
 
 
 class _KernelServingResult(ServingResult):
@@ -262,8 +156,7 @@ def lindley_open_loop(
 ) -> Optional[ServingResult]:
     """Vectorized single-queue open loop; ``None`` when it doesn't apply.
 
-    Byte-identical to ``simulate_open_loop(..., engine="event")`` on
-    every configuration it accepts (pinned by the hypothesis suite in
+    Byte-identical to the event loop on every configuration it accepts (pinned by the hypothesis suite in
     ``tests/test_fastsim.py``), telemetry included: the kernel has no
     per-event code, so :func:`repro.serve.telemetry.open_loop_series`
     recomputes the collector's windowed aggregates from the arrays with

@@ -27,13 +27,12 @@ three layers, all of them pure data:
   :class:`TimeSeries`: per-window error-budget burn, cumulative budget
   consumed, and time-to-exhaustion, per tenant class or cluster-wide.
 
-Determinism contract (the PR 3/6/8 bar): telemetry is **byte-identical
-across engines** -- the event loop's hooks and the Lindley kernel's
+Determinism contract: telemetry is **byte-identical between the event
+loop and the Lindley kernel** -- the loop's hooks and the kernel's
 vectorized aggregation (:func:`open_loop_series`) bin the same times
 with the same float division and run the same percentile code on the
-same multisets, and the :class:`~repro.serve.fastsim.SealedEventQueue`
-paths execute the hook code itself -- and identical serial vs ``--jobs
-N`` (the series rides the task records of :mod:`repro.serve.sweep`).
+same multisets -- and identical serial vs ``--jobs N`` (the series
+rides the task records of :mod:`repro.serve.sweep`).
 With ``telemetry=None`` every hook site is a single ``is not None``
 check, results are bit-for-bit what they were, and no task cache key
 changes (``key_fields`` omits the telemetry entry entirely).
@@ -372,7 +371,7 @@ class TelemetryCollector:
     out, so enabling telemetry cannot perturb a run.  Events at time
     ``t`` land in window ``int(t / window_ns)`` (one IEEE division plus
     a truncation, the exact arithmetic the vectorized kernel path in
-    :func:`open_loop_series` performs), so both engines bin identically.
+    :func:`open_loop_series` performs), so loop and kernel bin identically.
     """
 
     __slots__ = ("config", "window_ns", "n_shards", "traces", "_acc", "_max")
@@ -578,7 +577,7 @@ def open_loop_series(
     instead -- with the *same* binning arithmetic (one float64 division,
     truncate) and the *same* percentile code on the same per-window
     latency multisets as :class:`TelemetryCollector`, which is what
-    makes the engines byte-identical (``tests/test_telemetry_differential
+    makes the two paths byte-identical (``tests/test_telemetry_differential
     .py`` pins it).  ``depth[i]`` is the backlog at request ``i``'s
     dispatch instant, exactly what the event loop samples.
     """
@@ -730,7 +729,7 @@ def burn_rate_report(
     """Pure error-budget accounting over a windowed time-series.
 
     Deterministic scalar arithmetic only -- the report is a function of
-    the series, so it inherits the series' cross-engine byte-identity.
+    the series, so it inherits the series' byte-identity.
     """
     if not 0.0 < budget_fraction <= 1.0:
         raise ValueError(

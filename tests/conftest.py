@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.datasets import make_dataset, make_workload
-from repro.memsim import AddressSpace, TracedArray
+from repro.memsim import AddressSpace, FastEngine, ReferenceEngine, TracedArray
+
+#: The memsim engines by name: the production fast engine and the
+#: reference engine (the executable spec it is held counter-identical to).
+MEMSIM_ENGINES = {"reference": ReferenceEngine, "fast": FastEngine}
+
+
+def memsim_engine(name: str):
+    """Context manager: every ``PerfTracer()`` built inside it uses the
+    named engine, so whole measurement pipelines can run on the
+    reference engine."""
+    return mock.patch("repro.memsim.tracer.FastEngine", MEMSIM_ENGINES[name])
 
 
 @pytest.fixture(scope="session")

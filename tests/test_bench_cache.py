@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.bench import cache as cache_mod
 from repro.bench.cache import (
     MeasurementCache,
+    SimResultCache,
     cache_key,
     measurement_from_record,
     measurement_to_record,
@@ -18,7 +19,10 @@ from repro.bench.cache import (
 from repro.bench.cells import MeasureCell, freeze_config
 from repro.bench.config import BenchSettings
 from repro.bench.harness import Measurement
+from repro.bench.parallel import run_cells
 from repro.memsim.counters import PerfCountersF
+from repro.obs.metrics import get_registry
+from repro.serve.sweep import clear_sim_results, open_loop_task, run_sim_tasks
 
 SETTINGS = BenchSettings(n_keys=2_000, n_lookups=25, warmup=15)
 
@@ -200,16 +204,95 @@ class TestMeasurementCache:
         )
         assert cache.get(cell) is None
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
+    def test_corrupt_entry_is_a_miss(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_mod, "_warned_corrupt", set())
         cache = MeasurementCache(str(tmp_path / "c"))
         cell = make_cell()
         cache.put(cell, make_measurement())
         path = cache._path(cell)
         with open(path, "w") as f:
             f.write("{not json")
-        assert cache.get(cell) is None
+        with pytest.warns(RuntimeWarning, match="corrupt cache entry"):
+            assert cache.get(cell) is None
+        assert (cache.hits, cache.misses) == (0, 1)
 
     def test_missing_directory_is_empty(self, tmp_path):
         cache = MeasurementCache(str(tmp_path / "nope"))
         assert len(cache) == 0
         assert cache.get(make_cell()) is None
+
+
+class TestCorruptEntries:
+    """An entry that exists but will not parse is recomputed, counted and
+    warned about -- never silently treated as an ordinary miss."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_warning_state(self, monkeypatch):
+        monkeypatch.setattr(cache_mod, "_warned_corrupt", set())
+
+    @staticmethod
+    def counter(name):
+        return get_registry().counter(name).value
+
+    @staticmethod
+    def record_without_build_time(measurement):
+        rec = measurement_to_record(measurement)
+        del rec["build_seconds"]
+        return json.dumps(rec, sort_keys=True)
+
+    @staticmethod
+    def truncate(path):
+        with open(path, "rb") as f:
+            data = f.read()
+        with open(path, "wb") as f:
+            f.write(data[: len(data) // 2])
+
+    def test_measurement_cache_counts_and_recomputes(self, tmp_path):
+        cache = MeasurementCache(str(tmp_path / "c"))
+        cell = make_cell()
+        (first,), _ = run_cells([cell], jobs=1, cache=cache, memo={})
+        self.truncate(cache._path(cell))
+        before = self.counter("bench.cache.corrupt")
+        with pytest.warns(RuntimeWarning, match="bench.cache.corrupt"):
+            (again,), stats = run_cells([cell], jobs=1, cache=cache, memo={})
+        assert self.counter("bench.cache.corrupt") - before == 1
+        assert stats.executed == 1
+        # Everything but the wall-clock build time is byte-identical, and
+        # the rewritten entry reads back as a hit.
+        record = self.record_without_build_time
+        assert record(again) == record(first)
+        assert record(cache.get(cell)) == record(first)
+
+    def test_sim_result_cache_counts_and_recomputes(self, tmp_path):
+        cache = SimResultCache(str(tmp_path / "serving"))
+        task = open_loop_task(
+            make_measurement(), rate_per_sec=2e6, n_requests=200, seed=7,
+            n_cores=1,
+        )
+        clear_sim_results()
+        run_sim_tasks([task], cache=cache)
+        path = cache._path(task)
+        with open(path, "rb") as f:
+            original = f.read()
+        self.truncate(path)
+        clear_sim_results()
+        before = self.counter("serve.sweep.cache.corrupt")
+        with pytest.warns(RuntimeWarning, match="serve.sweep.cache.corrupt"):
+            run_sim_tasks([task], cache=cache)
+        clear_sim_results()
+        assert self.counter("serve.sweep.cache.corrupt") - before == 1
+        with open(path, "rb") as f:
+            assert f.read() == original
+
+    def test_warns_once_per_process(self, tmp_path):
+        cache = MeasurementCache(str(tmp_path / "c"))
+        cells = [make_cell(), make_cell(index="PGM")]
+        for cell in cells:
+            cache.put(cell, make_measurement(index=cell.index))
+            self.truncate(cache._path(cell))
+        before = self.counter("bench.cache.corrupt")
+        with pytest.warns(RuntimeWarning) as caught:
+            assert cache.get(cells[0]) is None
+            assert cache.get(cells[1]) is None
+        assert len(caught) == 1
+        assert self.counter("bench.cache.corrupt") - before == 2

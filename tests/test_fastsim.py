@@ -1,19 +1,18 @@
-"""Property and unit tests for the ``fast`` serving engine.
+"""Property and unit tests for the Lindley kernel fast path.
 
-The engine's contract is *byte identity*: every result it produces must
-equal the reference event loop's result under exact float ``==``, with
-no tolerance.  The hypothesis suites below throw randomized gap/service
-configurations at the Lindley kernel (including adversarial equal-time
-ties, which exercise the sequential-repair path), check that
-:func:`kernel_applies` is sound (never claims a configuration it cannot
-reproduce), and pin the :class:`SealedEventQueue` to plain ``heapq``
-order.  A companion suite pins the vectorized percentile path of
-:mod:`repro.bench.stats` to the pure-Python interpolation it replaced.
+The kernel's contract is *byte identity*: every result it produces must
+equal the event loop's result (``core._open_loop_events``, the loop
+with the kernel bypassed) under exact float ``==``, with no tolerance.
+The hypothesis suites below throw randomized gap/service configurations
+at the kernel (including adversarial equal-time ties, which exercise
+the sequential-repair path) and check that :func:`kernel_applies` is
+sound (never claims a configuration it cannot reproduce).  A companion
+suite pins the vectorized percentile path of :mod:`repro.bench.stats`
+to the pure-Python interpolation it replaced.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
@@ -26,13 +25,11 @@ from repro.memsim.counters import PerfCountersF
 from repro.serve.arrivals import bursty_arrivals, poisson_arrivals
 from repro.serve.core import (
     ServiceModel,
-    simulate_closed_loop,
+    _open_loop_events,
     simulate_open_loop,
 )
 from repro.serve.fastsim import (
-    SERVE_ENGINE_NAMES,
-    SealedEventQueue,
-    default_serve_engine_name,
+    _KernelServingResult,
     kernel_applies,
     lindley_open_loop,
     resolve_serve_engine,
@@ -110,9 +107,7 @@ class TestLindleyKernelIdentity:
     @settings(max_examples=150, deadline=None)
     def test_random_streams_byte_identical(self, gaps, values):
         arrivals = arrivals_from_gaps(gaps)
-        event = simulate_open_loop(
-            service_from(values), arrivals, n_cores=1, engine="event"
-        )
+        event = _open_loop_events(service_from(values), arrivals, n_cores=1)
         fast = lindley_open_loop(service_from(values), arrivals, n_cores=1)
         assert fast is not None
         assert_results_identical(fast, event)
@@ -127,9 +122,7 @@ class TestLindleyKernelIdentity:
         # instructions=64*scale with no memory traffic gives an integral
         # service time commensurate with the 64 ns gap grid.
         values = {"instructions": 64.0 * scale}
-        event = simulate_open_loop(
-            service_from(values), arrivals, n_cores=1, engine="event"
-        )
+        event = _open_loop_events(service_from(values), arrivals, n_cores=1)
         fast = lindley_open_loop(service_from(values), arrivals, n_cores=1)
         assert fast is not None
         assert_results_identical(fast, event)
@@ -142,12 +135,9 @@ class TestLindleyKernelIdentity:
             poisson_arrivals(rate, 600, seed),
             bursty_arrivals(rate, 600, seed),
         ):
-            event = simulate_open_loop(
-                service, arrivals, n_cores=1, engine="event"
-            )
-            fast = simulate_open_loop(
-                service, arrivals, n_cores=1, engine="fast"
-            )
+            event = _open_loop_events(service, arrivals, n_cores=1)
+            fast = simulate_open_loop(service, arrivals, n_cores=1)
+            assert isinstance(fast, _KernelServingResult)
             assert_results_identical(fast, event)
 
     def test_empty_stream(self):
@@ -180,9 +170,7 @@ class TestLindleyKernelIdentity:
         arrivals = [0.0] * 8 + [8 * 0.1]
         assert sum([0.1] * 8) < 8 * 0.1  # the rounding gap under test
         fast = lindley_open_loop(FlatService(), arrivals, n_cores=1)
-        event = simulate_open_loop(
-            FlatService(), arrivals, n_cores=1, engine="event"
-        )
+        event = _open_loop_events(FlatService(), arrivals, n_cores=1)
         assert calls, "the guess should have been wrong somewhere"
         assert_results_identical(fast, event)
 
@@ -218,121 +206,29 @@ class TestKernelAppliesSoundness:
         if not kernel_applies(service_from(values), arrivals, n_cores=1):
             return
         fast = lindley_open_loop(service_from(values), arrivals, n_cores=1)
-        event = simulate_open_loop(
-            service_from(values), arrivals, n_cores=1, engine="event"
-        )
+        event = _open_loop_events(service_from(values), arrivals, n_cores=1)
         assert_results_identical(fast, event)
 
     def test_fast_engine_falls_back_when_kernel_refuses(self):
-        """engine='fast' on a multi-core run must transparently use the
-        (sealed-queue) event loop and still be byte-identical."""
+        """A multi-core open loop must transparently take the event loop
+        and still be byte-identical."""
         service = ServiceModel(PerfCountersF(instructions=200, llc_misses=1))
         arrivals = poisson_arrivals(5e6, 500, seed=7)
         for n_cores in (2, 4):
-            event = simulate_open_loop(
-                service, arrivals, n_cores=n_cores, engine="event"
-            )
-            fast = simulate_open_loop(
-                service, arrivals, n_cores=n_cores, engine="fast"
-            )
+            event = _open_loop_events(service, arrivals, n_cores=n_cores)
+            fast = simulate_open_loop(service, arrivals, n_cores=n_cores)
+            assert not isinstance(fast, _KernelServingResult)
             assert_results_identical(fast, event)
 
-    def test_closed_loop_identical_across_engines(self):
-        service = ServiceModel(PerfCountersF(instructions=300))
-        kwargs = dict(
-            n_clients=8,
-            n_requests=400,
-            mean_think_ns=100.0,
-            seed=3,
-            n_cores=2,
-        )
-        event = simulate_closed_loop(service, engine="event", **kwargs)
-        fast = simulate_closed_loop(service, engine="fast", **kwargs)
-        assert_results_identical(fast, event)
-
 
 # ---------------------------------------------------------------------------
-# the sealed event queue
-# ---------------------------------------------------------------------------
-
-events = st.lists(
-    st.tuples(
-        st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-        st.integers(min_value=0, max_value=2),
-    ),
-    min_size=0,
-    max_size=200,
-)
-
-
-class TestSealedEventQueue:
-    @given(up_front=events, late=events)
-    @settings(max_examples=100, deadline=None)
-    def test_matches_heapq_order(self, up_front, late):
-        """Batch-sorted up-front events interleaved with a side heap of
-        late pushes pop in exactly heapq's (time, kind, seq) order."""
-        sealed = SealedEventQueue()
-        reference: list = []
-        seq = 0
-        for t, kind in up_front:
-            sealed.push(t, kind, payload=("p", seq))
-            heapq.heappush(reference, (t, kind, seq, ("p", seq)))
-            seq += 1
-        popped = []
-        expected = []
-        # Drain half, then push the late events mid-stream; the
-        # reference heap follows the same pop/push schedule.
-        drain_first = len(up_front) // 2
-        for _ in range(drain_first):
-            popped.append(sealed.pop())
-            expected.append(heapq.heappop(reference))
-        for t, kind in late:
-            sealed.push(t, kind, payload=("p", seq))
-            heapq.heappush(reference, (t, kind, seq, ("p", seq)))
-            seq += 1
-        while sealed:
-            popped.append(sealed.pop())
-            expected.append(heapq.heappop(reference))
-        assert popped == expected
-        assert not reference
-        assert len(sealed) == 0 and not sealed
-
-    def test_len_and_bool(self):
-        q = SealedEventQueue()
-        assert not q and len(q) == 0
-        q.push(1.0, 0, None)
-        q.push(0.5, 1, None)
-        assert q and len(q) == 2
-        assert q.pop()[0] == 0.5
-        assert len(q) == 1
-
-
-# ---------------------------------------------------------------------------
-# engine selection
+# engine name
 # ---------------------------------------------------------------------------
 
 
 class TestEngineSelection:
-    def test_default_is_event(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE_ENGINE", raising=False)
-        assert default_serve_engine_name() == "event"
-        assert resolve_serve_engine(None) == "event"
-
-    @pytest.mark.parametrize("name", SERVE_ENGINE_NAMES)
-    def test_env_selects_engine(self, name, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", name)
-        assert default_serve_engine_name() == name
-        assert resolve_serve_engine(None) == name
-        # An explicit argument wins over the environment.
-        other = "event" if name == "fast" else "fast"
-        assert resolve_serve_engine(other) == other
-
-    def test_unknown_engine_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown serving engine"):
-            resolve_serve_engine("turbo")
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", "turbo")
-        with pytest.raises(ValueError, match="unknown serving engine"):
-            default_serve_engine_name()
+    def test_default_is_event(self):
+        assert resolve_serve_engine() == "event"
 
 
 # ---------------------------------------------------------------------------

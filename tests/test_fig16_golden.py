@@ -42,13 +42,3 @@ def test_fig16_report_matches_pre_refactor_golden():
     report = fig16_multithread.run(BenchSettings(**GOLDEN_SETTINGS))
     assert report == golden
 
-
-def test_multithread_shim_reexports_contention_model():
-    """Old import path stays alive and is the same object, not a copy."""
-    from repro.bench import multithread
-    from repro.serve import contention
-
-    assert multithread.MachineModel is contention.MachineModel
-    assert multithread.throughput is contention.throughput
-    assert multithread.thread_sweep is contention.thread_sweep
-    assert multithread.ThroughputPoint is contention.ThroughputPoint

@@ -80,18 +80,3 @@ class TestFITingStructure:
         ]
         assert sizes == sorted(sizes)
 
-
-class TestDeprecatedModuleAlias:
-    def test_old_misspelled_import_still_works(self):
-        import importlib
-        import warnings
-
-        import repro.learned.fiting_tree as shim_preload  # noqa: F401
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = importlib.reload(shim_preload)
-        assert shim.FITingTreeIndex is FITingTreeIndex
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )

@@ -11,6 +11,7 @@ import dataclasses
 
 import pytest
 
+from conftest import memsim_engine
 from repro.bench.harness import build_index, measure, measure_repeated
 from repro.datasets import make_dataset, make_workload
 from repro.memsim import TraceStore
@@ -58,8 +59,10 @@ class TestReplayIdentity:
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_engines_agree_under_replay(self, setup, engine):
         ds, wl = setup
-        direct = measure(fresh_built(ds), wl, engine="reference", **KW)
-        m = measure(fresh_built(ds), wl, engine=engine, replay=True, **KW)
+        with memsim_engine("reference"):
+            direct = measure(fresh_built(ds), wl, **KW)
+        with memsim_engine(engine):
+            m = measure(fresh_built(ds), wl, replay=True, **KW)
         assert_same_measurement(direct, m)
 
     def test_cold_cache_replay_matches(self, setup):

@@ -1,9 +1,9 @@
-"""Source lint: deprecated modules must not gain new in-repo importers.
+"""Source lint: removed module names must not come back.
 
-``repro.learned.fiting_tree`` (misspelled; removed in release 2.0) only
-keeps *external* code alive.  Inside this repository every reference is
-denied except the shim itself and the tests that pin its behaviour --
-adding an import anywhere else fails CI here.
+``repro.learned.fiting_tree`` was a misspelled alias of
+``repro.learned.fitting_tree``; it has been removed.  Every reference to
+the misspelled name is denied everywhere except this lint itself, so
+reintroducing the alias or an import of it fails CI here.
 """
 
 from __future__ import annotations
@@ -20,14 +20,9 @@ SCAN_DIRS = ("src", "tests", "examples", "benchmarks")
 #: Substrings whose appearance in a Python file is a lint failure.
 DENYLIST = ("fiting_tree",)
 
-#: Files allowed to mention a denylisted name (the shim itself and the
-#: tests that deliberately exercise / police it), repo-relative.
-ALLOWLIST = {
-    "src/repro/learned/fiting_tree.py",
-    "tests/test_deprecation_shims.py",
-    "tests/test_fitting_tree.py",
-    "tests/test_lint_denylist.py",
-}
+#: Files allowed to mention a denylisted name (only this lint, which
+#: has to spell it), repo-relative.
+ALLOWLIST = {"tests/test_lint_denylist.py"}
 
 
 def _python_files():
@@ -53,15 +48,7 @@ def test_no_new_references_to_denylisted_modules(token):
                 if token in line:
                     offenders.append(f"{rel}:{lineno}: {line.strip()}")
     assert not offenders, (
-        f"deprecated module {token!r} referenced outside its allowlist "
-        "(it is removed in release 2.0; import the canonical module "
-        "instead):\n" + "\n".join(offenders)
+        f"removed module name {token!r} referenced outside its allowlist "
+        "(import the canonical module instead):\n" + "\n".join(offenders)
     )
 
-
-def test_allowlisted_shim_still_exists():
-    # When the shim is finally deleted (release 2.0), this test and the
-    # allowlist should be retired with it.
-    assert os.path.exists(
-        os.path.join(REPO_ROOT, "src/repro/learned/fiting_tree.py")
-    )

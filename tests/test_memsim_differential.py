@@ -1,7 +1,8 @@
-"""Differential suite: every engine IS the reference engine, counter-wise.
+"""Differential suite: the fast engine IS the reference engine, counter-wise.
 
-Hypothesis drives random read/instr/branch/flush streams through all
-engines (reference, fast, vector) and asserts byte-identical
+Hypothesis drives random read/instr/branch/flush streams through both
+engines (the reference spec and the production fast engine) and asserts
+byte-identical
 :class:`PerfCounters` -- not just at the end, but at every intermediate
 snapshot.  Streams mix tight spatial locality (repeated lines and
 pages, the fast paths' home turf) with scattered addresses (eviction
@@ -9,9 +10,8 @@ pressure), because the engines' shortcuts are exactly the places where
 a subtle state divergence would hide.
 
 The same property is asserted for record-replay: replaying a recorded
-stream must equal executing it directly, on any engine -- including
-repeat replays of the *same* trace objects, which exercise the vector
-engine's compiled plans and replay memoization.
+stream must equal executing it directly, on either engine -- including
+repeat replays of the *same* trace objects.
 """
 
 from __future__ import annotations
@@ -21,22 +21,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import MEMSIM_ENGINES
 from repro.memsim import (
     Cache,
     CacheHierarchy,
-    ENGINE_NAMES,
+    FastEngine,
     PerfTracer,
+    ReferenceEngine,
     SiteInterner,
     TraceRecorder,
-    VectorEngine,
-    make_engine,
 )
-from repro.memsim.engine import FastEngine
 from repro.memsim.tlb import TLB
 from repro.memsim.trace import K_REPEAT
 
-#: The engines differentially tested against the reference.
-_ALT_ENGINES = tuple(n for n in ENGINE_NAMES if n != "reference")
+#: Engine names, the reference first.
+ENGINE_NAMES = tuple(MEMSIM_ENGINES)
+
+
+def _tracer(name, sites=None):
+    return PerfTracer(engine=MEMSIM_ENGINES[name](sites=sites))
 
 _SITES = ["bs.cmp", "btree.descend", "rmi.clamp", "loop"]
 
@@ -92,9 +95,8 @@ def _drive(tracer, events):
 @given(_events())
 @settings(max_examples=150, deadline=None)
 def test_engines_are_counter_identical(events):
-    ref_snaps = _drive(PerfTracer(engine="reference"), events)
-    for name in _ALT_ENGINES:
-        assert _drive(PerfTracer(engine=name), events) == ref_snaps, name
+    ref_snaps = _drive(PerfTracer(engine=ReferenceEngine()), events)
+    assert _drive(PerfTracer(), events) == ref_snaps
 
 
 def _tiny_reference():
@@ -118,8 +120,9 @@ _TINY_KW = dict(
 def test_engines_identical_under_tiny_geometry(events):
     """Small caches/TLBs put every access on the eviction paths."""
     ref_snaps = _drive(_tiny_reference(), events)
-    for eng in (FastEngine(**_TINY_KW), VectorEngine(**_TINY_KW)):
-        assert _drive(PerfTracer(engine=eng), events) == ref_snaps, eng.name
+    assert _drive(PerfTracer(engine=FastEngine(**_TINY_KW)), events) == (
+        ref_snaps
+    )
 
 
 @given(_events())
@@ -136,14 +139,13 @@ def test_engines_identical_under_degenerate_geometry(events):
     )
     kw = dict(l1=(64, 1), l2=(2 * 64, 2), l3=(4 * 64, 4), tlb_entries=(1, 1))
     ref_snaps = _drive(ref, events)
-    for eng in (FastEngine(**kw), VectorEngine(**kw)):
-        assert _drive(PerfTracer(engine=eng), events) == ref_snaps, eng.name
+    assert _drive(PerfTracer(engine=FastEngine(**kw)), events) == ref_snaps
 
 
 @given(_events())
 @settings(max_examples=60, deadline=None)
 def test_replay_equals_direct_execution(events):
-    """Record through a recorder, replay on fresh engines of every kind."""
+    """Record through a recorder, replay on fresh engines of both kinds."""
     sites = SiteInterner()
     recorder = TraceRecorder(sites=sites)
     # Flushes and snapshots are measurement-loop concerns, not lookup
@@ -152,17 +154,16 @@ def test_replay_equals_direct_execution(events):
     _apply(recorder, stream)
     trace = recorder.finish()
 
-    direct = PerfTracer(engine="reference", sites=sites)
+    direct = _tracer("reference", sites)
     _apply(direct, stream)
     expected = direct.snapshot()
 
     for name in ENGINE_NAMES:
-        t = PerfTracer(engine=name, sites=sites)
+        t = _tracer(name, sites)
         t.replay(trace)
         assert t.snapshot() == expected, name
-        # A second fresh engine replaying the same trace object takes
-        # the vector engine's memoized path; still byte-identical.
-        t2 = PerfTracer(engine=name, sites=sites)
+        # A second fresh engine replaying the same trace object.
+        t2 = _tracer(name, sites)
         t2.replay(trace)
         assert t2.snapshot() == expected, name
 
@@ -183,16 +184,16 @@ def test_replay_composes_with_live_events(events, events2):
 
     results = []
     for name in ENGINE_NAMES:
-        t = PerfTracer(engine=name, sites=sites)
-        t.replay(trace)  # from pristine state (vector: memoizable)
+        t = _tracer(name, sites)
+        t.replay(trace)  # from pristine state
         snaps = [t.snapshot()]
-        t.replay(trace2)  # chained replay (vector: token chain)
+        t.replay(trace2)  # chained replay
         snaps.append(t.snapshot())
-        _apply(t, stream)  # live events invalidate any memo token...
-        t.replay(trace)  # ...so this replays against warmed state
+        _apply(t, stream)  # live events, then...
+        t.replay(trace)  # ...a replay against warmed state
         snaps.append(t.snapshot())
         t.flush_caches()
-        t.replay(trace)  # and again from cold (vector: flushed token)
+        t.replay(trace)  # and again from cold
         t.flush_caches()
         t.replay(trace)
         snaps.append(t.snapshot())
@@ -227,49 +228,28 @@ def test_repeat_compression_boundaries(run_len, offset, branch_between):
     trace = recorder.finish()
     assert K_REPEAT in trace.kinds.tolist()
 
-    direct = PerfTracer(engine="reference", sites=sites)
+    direct = _tracer("reference", sites)
     _apply(direct, stream)
     expected = direct.snapshot()
     for name in ENGINE_NAMES:
-        t = PerfTracer(engine=name, sites=sites)
+        t = _tracer(name, sites)
         t.replay(trace)
         assert t.snapshot() == expected, name
 
 
-def test_vector_replay_resolves_leading_repeat_against_live_state():
-    """A trace whose first read repeats the engine's MRU line.
-
-    The vector plan cannot classify the first read at compile time (it
-    depends on the replaying engine's state), so it is resolved at
-    replay time -- both ways.
-    """
-    sites = SiteInterner()
-    recorder = TraceRecorder(sites=sites)
-    _apply(recorder, [("read", 4096, 0, 8), ("read", 4096, 8, 8)])
-    trace = recorder.finish()
-    for warm_addr in (4096, 1 << 20):  # MRU-matching and not
-        snaps = []
-        for name in ENGINE_NAMES:
-            t = PerfTracer(engine=name, sites=sites)
-            t.read(warm_addr, 8)
-            t.replay(trace)
-            snaps.append(t.snapshot())
-        assert snaps[1] == snaps[0] and snaps[2] == snaps[0], warm_addr
-
-
 def test_branch_site_count_matches_across_engines():
     events = [("branch", s, t) for s in _SITES for t in (True, False, True)]
-    engines = [make_engine(name) for name in ENGINE_NAMES]
+    engines = [cls() for cls in MEMSIM_ENGINES.values()]
     for _, site, taken in events:
         for e in engines:
             e.branch(site, taken)
     assert {e.n_branch_sites() for e in engines} == {len(_SITES)}
 
 
-@pytest.mark.parametrize("engine", list(ENGINE_NAMES))
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
 def test_multiline_and_page_crossing_reads(engine):
     """Deterministic spot-check: a read spanning lines and pages."""
-    t = PerfTracer(engine=engine)
+    t = _tracer(engine)
     t.read(4096 - 32, 64)  # crosses a line AND a page boundary
     c = t.counters
     assert c.reads == 1

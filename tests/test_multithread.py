@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.harness import Measurement
-from repro.bench.multithread import MachineModel, thread_sweep, throughput
+from repro.serve.contention import MachineModel, thread_sweep, throughput
 from repro.memsim.counters import PerfCountersF
 
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import memsim_engine
 from repro.bench.harness import build_index, measure
 from repro.datasets.loader import make_dataset
 from repro.datasets.workload import make_workload
@@ -105,22 +106,21 @@ class TestMeasureProfiled:
         self, setup, engine, index
     ):
         ds, wl = setup
-        plain = measure(
-            build_index(ds, index),
-            wl,
-            n_lookups=200,
-            warmup=60,
-            engine=engine,
-            profile=False,
-        )
-        profiled = measure(
-            build_index(ds, index),
-            wl,
-            n_lookups=200,
-            warmup=60,
-            engine=engine,
-            profile=True,
-        )
+        with memsim_engine(engine):
+            plain = measure(
+                build_index(ds, index),
+                wl,
+                n_lookups=200,
+                warmup=60,
+                profile=False,
+            )
+            profiled = measure(
+                build_index(ds, index),
+                wl,
+                n_lookups=200,
+                warmup=60,
+                profile=True,
+            )
         assert plain.phases is None
         assert profiled.phases is not None
         # Profiling changes nothing.
@@ -148,11 +148,12 @@ class TestMeasureProfiled:
     ):
         ds = make_dataset("osm", 2_000, seed=seed)
         wl = make_workload(ds, 150, seed=seed + 1)
-        kwargs = dict(
-            n_lookups=100, warmup=40, search=search, warm=warm, engine=engine
-        )
-        plain = measure(build_index(ds, index), wl, profile=False, **kwargs)
-        profiled = measure(build_index(ds, index), wl, profile=True, **kwargs)
+        kwargs = dict(n_lookups=100, warmup=40, search=search, warm=warm)
+        with memsim_engine(engine):
+            plain = measure(build_index(ds, index), wl, profile=False, **kwargs)
+            profiled = measure(
+                build_index(ds, index), wl, profile=True, **kwargs
+            )
         assert profiled.counters == plain.counters
         assert (
             phase_sum(profiled.phases).per_lookup(profiled.n_lookups)
@@ -162,20 +163,19 @@ class TestMeasureProfiled:
     def test_both_engines_attribute_identically(self, setup):
         ds, wl = setup
         for index in INDEXES:
-            ref = measure(
-                build_index(ds, index),
-                wl,
-                n_lookups=150,
-                warmup=40,
-                engine="reference",
-                profile=True,
-            )
+            with memsim_engine("reference"):
+                ref = measure(
+                    build_index(ds, index),
+                    wl,
+                    n_lookups=150,
+                    warmup=40,
+                    profile=True,
+                )
             fast = measure(
                 build_index(ds, index),
                 wl,
                 n_lookups=150,
                 warmup=40,
-                engine="fast",
                 profile=True,
             )
             assert ref.phases == fast.phases, index

@@ -47,7 +47,7 @@ class TestManifest:
         assert manifest["argv"] == ["--experiment", "fig7"]
         assert manifest["seed"] == settings.seed
         assert manifest["settings"]["n_keys"] == settings.n_keys
-        assert manifest["memsim_engine"] in ("reference", "fast")
+        assert manifest["memsim_engine"] == "fast"
         assert manifest["config_hash"] == config_hash(
             manifest["settings"]
         )

@@ -1,18 +1,10 @@
 """Differential tests: reconfiguration's no-op is *exactly* nothing.
 
-Two invariants pin the reconfig layer onto the existing simulators:
-
-* **No-op identity.**  A cluster or scenario run with ``ReconfigSpec()``
-  (no triggers) attached is byte-identical to the same run with no spec
-  at all -- every per-request float, on sharded, faulted and
-  multi-tenant topologies, under both serving engines, and whether the
-  scenario fans out serially or on a 2-process pool.  Attaching the
-  zero spec must not even construct a runtime.
-* **Engine identity under *active* reconfig.**  With splits, rebuilds
-  and autoscaling firing mid-run, the ``event`` and ``fast`` engines
-  still produce identical records, epoch histories and telemetry
-  time-series (``to_dict()`` compared wholesale, the same bar
-  ``test_telemetry_differential.py`` sets for faults).
+A cluster or scenario run with ``ReconfigSpec()`` (no triggers)
+attached is byte-identical to the same run with no spec at all -- every
+per-request float, on sharded, faulted and multi-tenant topologies, and
+whether the scenario fans out serially or on a 2-process pool.
+Attaching the zero spec must not even construct a runtime.
 """
 
 from __future__ import annotations
@@ -24,14 +16,8 @@ from repro.memsim.counters import PerfCountersF
 from repro.serve.arrivals import poisson_arrivals
 from repro.serve.cluster import Cluster, simulate_cluster
 from repro.serve.core import ServiceModel
-from repro.serve.fastsim import SERVE_ENGINE_NAMES
 from repro.serve.faults import FaultConfig
-from repro.serve.reconfig import (
-    AutoscaleSpec,
-    RebuildSpec,
-    ReconfigSpec,
-    SplitSpec,
-)
+from repro.serve.reconfig import ReconfigSpec
 from repro.serve.router import RouterPolicy, ShardMap, request_keys
 from repro.serve.scenario import TopologySpec, single_tenant_spec
 from repro.serve.sweep import run_sim_tasks, scenario_task
@@ -41,13 +27,6 @@ from repro.serve.tenancy import simulate_scenario
 RATE = 3e5
 N_REQ = 400
 SPAN_NS = N_REQ / RATE * 1e9
-
-
-@pytest.fixture(params=SERVE_ENGINE_NAMES)
-def engine(request, monkeypatch):
-    """Run the test under each serving engine's ambient default."""
-    monkeypatch.setenv("REPRO_SERVE_ENGINE", request.param)
-    return request.param
 
 
 def counters(instructions=500):
@@ -121,36 +100,10 @@ def assert_records_identical(a_records, b_records):
         assert record_tuple(a) == record_tuple(b)
 
 
-def active_spec_for(keys):
-    """A spec exercising all three operations inside the run, its split
-    key pinned to the midpoint of shard 0's range."""
-    bounds = ShardMap.from_keys(keys, 3).lower_bounds
-    at_key = bounds[0] + (bounds[1] - bounds[0]) // 2
-    return ReconfigSpec(
-        splits=(SplitSpec(at_ns=0.2 * SPAN_NS, shard=0, at_key=at_key),),
-        rebuilds=(
-            RebuildSpec(
-                at_ns=0.45 * SPAN_NS,
-                shard=1,
-                replica=0,
-                build_ns=0.2 * SPAN_NS,
-                speedup=1.25,
-            ),
-        ),
-        autoscale=AutoscaleSpec(
-            interval_ns=SPAN_NS / 8,
-            up_depth=2,
-            down_depth=0,
-            min_replicas=2,
-            max_replicas=4,
-        ),
-    )
-
-
 class TestNoOpSpecIsByteIdentical:
     """``ReconfigSpec()`` attached == no spec at all, exactly."""
 
-    def test_sharded_cluster(self, keys, engine):
+    def test_sharded_cluster(self, keys):
         base = cluster_run(keys, reconfig=None)
         noop = cluster_run(keys, reconfig=ReconfigSpec())
         assert_records_identical(noop.records, base.records)
@@ -160,7 +113,7 @@ class TestNoOpSpecIsByteIdentical:
         assert noop.epochs is None and base.epochs is None
         assert noop.epoch_count == 1 and noop.final_shards == 3
 
-    def test_faulted_cluster(self, keys, engine):
+    def test_faulted_cluster(self, keys):
         faults = FaultConfig(
             crash_mttf_ns=SPAN_NS / 3,
             crash_mttr_ns=SPAN_NS / 6,
@@ -173,7 +126,7 @@ class TestNoOpSpecIsByteIdentical:
         assert_records_identical(noop.records, base.records)
         assert noop.telemetry.to_dict() == base.telemetry.to_dict()
 
-    def test_tenant_scenario(self, keys, engine):
+    def test_tenant_scenario(self, keys):
         spec = single_tenant_spec(
             RATE,
             N_REQ,
@@ -197,7 +150,7 @@ class TestNoOpSpecIsByteIdentical:
             )
             assert a.latencies_ns == b.latencies_ns
 
-    def test_serial_vs_jobs(self, engine):
+    def test_serial_vs_jobs(self):
         """The no-op identity holds through the task fan-out layer."""
         spec = single_tenant_spec(
             RATE,
@@ -215,55 +168,3 @@ class TestNoOpSpecIsByteIdentical:
         pooled = run_sim_tasks(tasks, jobs=2)
         assert serial[0] == serial[1]  # no-op spec == no spec
         assert serial == pooled  # pool == serial, byte for byte
-
-
-class TestActiveReconfigEngineIdentity:
-    """Split + rebuild + autoscale mid-run: engines stay byte-identical."""
-
-    def run_under(self, keys, engine_name, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", engine_name)
-        return cluster_run(keys, reconfig=active_spec_for(keys))
-
-    def test_records_epochs_telemetry_identical(self, keys, monkeypatch):
-        results = {
-            name: self.run_under(keys, name, monkeypatch)
-            for name in SERVE_ENGINE_NAMES
-        }
-        a, b = (results[n] for n in SERVE_ENGINE_NAMES[:2])
-        assert_records_identical(a.records, b.records)
-        assert a.epochs == b.epochs
-        assert a.rebuilds == b.rebuilds
-        assert a.scale_events == b.scale_events
-        assert a.live_replicas == b.live_replicas
-        # Telemetry series across the active reconfig, wholesale.
-        assert a.telemetry.to_dict() == b.telemetry.to_dict()
-        # The run actually reconfigured (the test isn't vacuous).
-        assert len(a.epochs) == 2 and a.final_shards == 4
-        assert len(a.rebuilds) == 1
-
-    def test_scenario_active_reconfig_engines_identical(
-        self, keys, monkeypatch
-    ):
-        spec = single_tenant_spec(
-            RATE,
-            N_REQ,
-            seed=4,
-            topology=TopologySpec(n_shards=3, n_replicas=2, n_cores=2),
-        ).with_reconfig(active_spec_for(keys))
-        dicts = []
-        for name in SERVE_ENGINE_NAMES:
-            monkeypatch.setenv("REPRO_SERVE_ENGINE", name)
-            r = simulate_scenario(
-                spec,
-                [ServiceModel(counters()) for _ in range(3)],
-                keys,
-                telemetry=TelemetryConfig(window_ns=SPAN_NS / 8),
-            )
-            dicts.append(
-                (
-                    [record_tuple(x) for x in r.cluster.records],
-                    r.cluster.telemetry.to_dict(),
-                    r.cluster.epochs,
-                )
-            )
-        assert dicts[0] == dicts[1]

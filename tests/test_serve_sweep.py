@@ -1,14 +1,13 @@
 """Tests for the parallel/cached simulation sweep layer.
 
-Pins the layer's contract from ``docs/serving_fast.md``:
+Pins the layer's contract from ``docs/serving.md``:
 
 * routing a selector sweep through tasks (any job count) is
   byte-identical to the inline path;
 * a warm :class:`SimResultCache` replays a sweep with 100% hits and
   zero executions, and the replayed selection is byte-identical;
-* cache keys are serving-engine-invariant -- a cache warmed under the
-  ``event`` engine replays fully under ``fast`` (and vice versa), and
-  no key field mentions the engine;
+* cache keys are path-invariant -- a record computed by the Lindley
+  kernel equals the event loop's, and no key field mentions an engine;
 * run records round-trip losslessly (``to_record``/``from_record``)
   and mirror the live result objects' derived values exactly.
 """
@@ -163,36 +162,20 @@ class TestEngineInvariantCacheKeys:
         assert "engine" not in flat
         assert "kind" in fields
 
-    def test_sim_key_stable_and_engine_free(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", "event")
-        key_event = sim_key(self.task())
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", "fast")
-        key_fast = sim_key(self.task())
-        assert key_event == key_fast
-        assert len(key_event) == 40
-        assert sim_key(self.task(), schema_version=CACHE_SCHEMA_VERSION + 1) != key_event
-
-    @pytest.mark.parametrize(
-        "warm_engine,replay_engine", [("event", "fast"), ("fast", "event")]
-    )
-    def test_cross_engine_cache_replay(
-        self, warm_engine, replay_engine, tmp_path, monkeypatch
-    ):
-        cache = SimResultCache(str(tmp_path / "serving"))
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", warm_engine)
-        warm = run_sim_tasks([self.task()], cache=cache)[0]
-        clear_sim_results()
-        cache.reset_stats()
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", replay_engine)
-        replayed = run_sim_tasks([self.task()], cache=cache)[0]
-        assert cache.hits == 1 and cache.misses == 0
-        assert replayed == warm
+    def test_sim_key_stable_and_engine_free(self):
+        key = sim_key(self.task())
+        assert sim_key(self.task()) == key
+        assert len(key) == 40
+        assert sim_key(self.task(), schema_version=CACHE_SCHEMA_VERSION + 1) != key
 
     def test_engines_write_identical_records(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", "event")
+        """The task's single-core open loop takes the Lindley kernel;
+        with the kernel refusing, the event loop writes the same record."""
         a = run_sim_tasks([self.task()])[0]
         clear_sim_results()
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", "fast")
+        monkeypatch.setattr(
+            "repro.serve.fastsim.lindley_open_loop", lambda *a, **k: None
+        )
         b = run_sim_tasks([self.task()])[0]
         assert a == b
         assert open_loop_summary(a) == open_loop_summary(b)

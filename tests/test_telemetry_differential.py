@@ -1,17 +1,16 @@
-"""Byte-identity tests for serving telemetry across engines and runners.
+"""Byte-identity tests for serving telemetry across paths and runners.
 
 The hard bar from ``docs/observability.md``: telemetry is an *observer*.
 
-* The ``event`` and ``fast`` engines produce byte-identical windowed
-  aggregates and attempt traces -- on the vectorized Lindley-kernel
-  path (1 core), the batch-sorted SealedEventQueue path (multi-core,
-  closed-loop, cluster, tenancy), and everything in between;
+* The event loop and the vectorized Lindley kernel (which single-core
+  open loops take) produce byte-identical windowed aggregates and
+  attempt traces;
 * a degenerate 1-shard/1-replica no-fault cluster reports the *same*
-  series as the equivalent open-loop run;
+  series as the equivalent open-loop run, on either path;
 * attaching telemetry never perturbs the simulation results, and
   telemetry-off cache keys don't mention telemetry at all;
 * sweep-task records carry the series through the JSON round trip and
-  are identical serial vs ``jobs=2`` vs cross-engine cache replay.
+  are identical serial vs ``jobs=2`` vs cache replay.
 
 Every comparison below is exact ``==`` -- no approx anywhere.
 """
@@ -27,7 +26,7 @@ from repro.serve.arrivals import poisson_arrivals
 from repro.serve.cluster import Cluster, simulate_cluster
 from repro.serve.core import (
     ServiceModel,
-    simulate_closed_loop,
+    _open_loop_events,
     simulate_open_loop,
 )
 from repro.serve.faults import FaultConfig
@@ -96,16 +95,14 @@ def assert_series_equal(a: TimeSeries, b: TimeSeries):
 
 
 class TestOpenLoopCrossEngine:
-    """Event loop vs the vectorized Lindley kernel / sealed queue."""
+    """Event loop vs the vectorized Lindley kernel."""
 
     def run_both(self, n_cores, **tel_kwargs):
         arrivals = poisson_arrivals(RATE, N_REQ, seed=7)
         cfg = tel(**tel_kwargs)
         return [
-            simulate_open_loop(
-                service(), arrivals, n_cores, engine=engine, telemetry=cfg
-            )
-            for engine in ("event", "fast")
+            simulate(service(), arrivals, n_cores, telemetry=cfg)
+            for simulate in (_open_loop_events, simulate_open_loop)
         ]
 
     def test_kernel_path_single_core(self):
@@ -114,34 +111,12 @@ class TestOpenLoopCrossEngine:
         assert event.traces == fast.traces
         assert event.requests == fast.requests
 
-    def test_sealed_queue_path_multi_core(self):
-        event, fast = self.run_both(4, traces=True)
-        assert_series_equal(event.telemetry, fast.telemetry)
-        assert event.traces == fast.traces
-
-    def test_closed_loop(self):
-        results = [
-            simulate_closed_loop(
-                service(),
-                n_clients=8,
-                n_requests=N_REQ,
-                mean_think_ns=500.0,
-                seed=3,
-                n_cores=2,
-                engine=engine,
-                telemetry=tel(traces=True),
-            )
-            for engine in ("event", "fast")
-        ]
-        assert_series_equal(results[0].telemetry, results[1].telemetry)
-        assert results[0].traces == results[1].traces
-
     def test_telemetry_does_not_perturb_results(self):
         arrivals = poisson_arrivals(RATE, N_REQ, seed=7)
-        for engine in ("event", "fast"):
-            plain = simulate_open_loop(service(), arrivals, 2, engine=engine)
+        for n_cores in (1, 2):  # the kernel, then the event loop
+            plain = simulate_open_loop(service(), arrivals, n_cores)
             observed = simulate_open_loop(
-                service(), arrivals, 2, engine=engine, telemetry=tel(True)
+                service(), arrivals, n_cores, telemetry=tel(True)
             )
             assert observed.requests == plain.requests
             assert observed.max_queue_depth == plain.max_queue_depth
@@ -176,42 +151,30 @@ def faulty_cluster(keys, hedge_after_ns=None):
     )
 
 
-class TestClusterCrossEngine:
-    def run_both(self, keys, hedge_after_ns=None):
-        arrivals = poisson_arrivals(RATE, N_REQ, seed=5)
-        lookup = request_keys(keys, N_REQ, seed=5)
-        return [
-            simulate_cluster(
-                faulty_cluster(keys, hedge_after_ns),
-                arrivals,
-                lookup,
-                fault_horizon_ns=1.5 * SPAN_NS,
-                engine=engine,
-                telemetry=tel(traces=True),
-            )
-            for engine in ("event", "fast")
-        ]
+class TestClusterTelemetry:
+    def run(self, keys, hedge_after_ns=None):
+        return simulate_cluster(
+            faulty_cluster(keys, hedge_after_ns),
+            poisson_arrivals(RATE, N_REQ, seed=5),
+            request_keys(keys, N_REQ, seed=5),
+            fault_horizon_ns=1.5 * SPAN_NS,
+            telemetry=tel(traces=True),
+        )
 
     def test_faulted_cluster_series_and_traces(self, keys):
-        event, fast = self.run_both(keys)
-        assert_series_equal(event.telemetry, fast.telemetry)
-        assert event.traces == fast.traces
+        result = self.run(keys)
+        assert_series_equal(result.telemetry, self.run(keys).telemetry)
         # The scenario actually exercises the fault machinery.
-        ts = event.telemetry
-        assert ts.retries > 0
-        assert any(t.status != "completed" for t in event.traces)
+        assert result.telemetry.retries > 0
+        assert any(t.status != "completed" for t in result.traces)
 
     def test_hedged_cluster_series_and_traces(self, keys):
-        event, fast = self.run_both(
-            keys, hedge_after_ns=4.0 * service().service_ns(2)
-        )
-        assert_series_equal(event.telemetry, fast.telemetry)
-        assert event.traces == fast.traces
-        assert event.telemetry.hedges > 0
-        assert any(t.cause == "hedge" for t in event.traces)
+        result = self.run(keys, hedge_after_ns=4.0 * service().service_ns(2))
+        assert result.telemetry.hedges > 0
+        assert any(t.cause == "hedge" for t in result.traces)
 
     def test_totals_telescope_to_cluster_result(self, keys):
-        result, _ = self.run_both(keys)
+        result = self.run(keys)
         ts = result.telemetry
         assert ts.completed == result.completed
         assert ts.failed == result.failed
@@ -242,29 +205,34 @@ class TestClusterCrossEngine:
 class TestDegenerateClusterMatchesOpenLoop:
     """A 1x1 fault-free cluster IS the open loop -- telemetry included."""
 
-    @pytest.mark.parametrize("engine", ["event", "fast"])
-    def test_series_match(self, keys, engine):
+    @pytest.mark.parametrize(
+        "simulate", [_open_loop_events, simulate_open_loop],
+        ids=["event", "fast"],
+    )
+    def test_series_match(self, keys, simulate):
         arrivals = poisson_arrivals(RATE, N_REQ, seed=9)
-        open_result = simulate_open_loop(
-            service(), arrivals, 2, engine=engine, telemetry=tel()
-        )
-        cluster = Cluster(
-            shard_map=ShardMap.from_keys(keys, 1),
-            services=[service()],
-            n_replicas=1,
-            n_cores=2,
-        )
-        cluster_result = simulate_cluster(
-            cluster,
-            arrivals,
-            request_keys(keys, N_REQ, seed=9),
-            engine=engine,
-            telemetry=tel(),
-        )
-        assert_series_equal(open_result.telemetry, cluster_result.telemetry)
+        for n_cores in (1, 2):
+            open_result = simulate(
+                service(), arrivals, n_cores, telemetry=tel()
+            )
+            cluster = Cluster(
+                shard_map=ShardMap.from_keys(keys, 1),
+                services=[service()],
+                n_replicas=1,
+                n_cores=n_cores,
+            )
+            cluster_result = simulate_cluster(
+                cluster,
+                arrivals,
+                request_keys(keys, N_REQ, seed=9),
+                telemetry=tel(),
+            )
+            assert_series_equal(
+                open_result.telemetry, cluster_result.telemetry
+            )
 
 
-class TestTenancyCrossEngine:
+class TestTenancyTelemetry:
     def spec(self):
         svc_ns = service().service_ns(1)
         rate = 0.9 * 1e9 / svc_ns
@@ -303,19 +271,13 @@ class TestTenancyCrossEngine:
         spec = self.spec()
         n_total = sum(t.arrivals.n_requests for t in spec.tenants)
         window = (n_total / spec.tenants[0].arrivals.rate_per_sec) * 1e9 / 10
-        results = [
-            simulate_scenario(
-                spec,
-                [service()],
-                keys,
-                engine=engine,
-                telemetry=TelemetryConfig(window_ns=window, traces=True),
-            )
-            for engine in ("event", "fast")
-        ]
-        assert_series_equal(results[0].telemetry, results[1].telemetry)
-        assert results[0].traces == results[1].traces
-        ts = results[0].telemetry
+        result = simulate_scenario(
+            spec,
+            [service()],
+            keys,
+            telemetry=TelemetryConfig(window_ns=window, traces=True),
+        )
+        ts = result.telemetry
         # Admission control fired, and per-class stats are recorded.
         assert ts.shed > 0
         assert ts.classes == ("bronze", "gold")
@@ -420,20 +382,13 @@ class TestSweepTelemetry:
         on_rest = {k: v for k, v in on.items() if k != "telemetry"}
         assert on_rest == off
 
-    @pytest.mark.parametrize(
-        "warm_engine,replay_engine", [("event", "fast"), ("fast", "event")]
-    )
-    def test_cross_engine_cache_replay_with_telemetry(
-        self, keys, warm_engine, replay_engine, tmp_path, monkeypatch
-    ):
+    def test_cache_replay_with_telemetry(self, keys, tmp_path):
         cache = SimResultCache(str(tmp_path / "serving"))
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", warm_engine)
         warm = run_sim_tasks(
             [self.task(keys, telemetry=tel())], cache=cache
         )[0]
         clear_sim_results()
         cache.reset_stats()
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", replay_engine)
         replayed = run_sim_tasks(
             [self.task(keys, telemetry=tel())], cache=cache
         )[0]
