@@ -17,6 +17,11 @@ the perf trajectory of the tentpole (fast engine + trace replay):
   end: steady-state ``measure(..., replay=True)`` under each engine,
   plus the pre-engine baseline (reference engine, no replay) that
   ``cell_speedup`` is measured against.
+* ``cold_flush_*`` — one cold-cache cycle as the fig14 harness runs it:
+  a handful of scattered reads, then ``flush_caches``, on each engine.
+* ``linear_scan_*`` — a 256-element linear last-mile run as one
+  ``scan`` event against its per-element expansion, on each engine;
+  ``linear_scan_speedup`` is the fast engine's event/expansion ratio.
 
 Set ``BENCH_MEMSIM_JSON`` to redirect the output path (defaults to the
 repo root).
@@ -40,6 +45,7 @@ from repro.memsim import (
     Tracer,
     TraceRecorder,
 )
+from repro.memsim.engine import expand_scan
 from repro.search.last_mile import SEARCH_FUNCTIONS
 
 ENGINES = {"reference": ReferenceEngine, "fast": FastEngine}
@@ -67,6 +73,14 @@ def _write_bench_memsim_json():
                 r["hot_ref_percall_ns_per_access"]
                 / r["hot_fast_percall_ns_per_access"]
             )
+    if (
+        "linear_scan_fast_expanded_ns_per_element" in r
+        and "linear_scan_fast_event_ns_per_element" in r
+    ):
+        r["linear_scan_speedup"] = (
+            r["linear_scan_fast_expanded_ns_per_element"]
+            / r["linear_scan_fast_event_ns_per_element"]
+        )
     if (
         "cell_ref_direct_cells_per_sec" in r
         and "cell_fast_replay_cells_per_sec" in r
@@ -213,3 +227,63 @@ def test_cell_steady_state(benchmark, cell_inputs, engine, replay):
             ("fast", True): "cell_fast_replay_cells_per_sec",
         }[(engine, replay)]
         _RATES[key] = rate
+
+
+# --------------------------------------------------------------------
+# Cold-cache flushes and linear last-mile scans.
+# --------------------------------------------------------------------
+
+_ENGINE_KEY = {"reference": "ref", "fast": "fast"}
+
+#: A cold lookup's footprint: a dozen reads over distinct lines/pages.
+_COLD_ADDRS = [(1 << 20) + i * 4_160 for i in range(12)]
+
+
+def _cold_cycle(tracer):
+    read = tracer.read
+    for a in _COLD_ADDRS:
+        read(a, 8)
+    tracer.flush_caches()
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+def test_cold_flush(benchmark, engine):
+    """N reads then a flush: the per-lookup cost of ``warm=False``."""
+    tracer = PerfTracer(engine=ENGINES[engine]())
+    benchmark(_cold_cycle, tracer)
+    assert tracer.counters.llc_misses > 0
+    if benchmark.stats is not None:
+        us = benchmark.stats.stats.mean * 1e6
+        _RATES[f"cold_flush_{_ENGINE_KEY[engine]}_us_per_cycle"] = us
+
+
+_SCAN_LEN = 256
+
+
+def _scan_event(tracer):
+    tracer.scan(1 << 20, 8, _SCAN_LEN, 3, "lastmile.linear", True)
+
+
+def _scan_expanded(tracer):
+    expand_scan(
+        tracer.read, tracer.instr, tracer.branch,
+        1 << 20, 8, _SCAN_LEN, 3, "lastmile.linear", True,
+    )
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize("form", ["event", "expanded"])
+def test_linear_scan(benchmark, engine, form):
+    """One ``scan`` event against its expansion, counters asserted equal."""
+    drive = _scan_event if form == "event" else _scan_expanded
+    tracer = PerfTracer(engine=ENGINES[engine]())
+    check = PerfTracer(engine=ReferenceEngine())
+    _scan_expanded(check)
+    drive(tracer)
+    assert tracer.snapshot() == check.snapshot()
+    benchmark(drive, tracer)
+    if benchmark.stats is not None:
+        ns = benchmark.stats.stats.mean / _SCAN_LEN * 1e9
+        _RATES[
+            f"linear_scan_{_ENGINE_KEY[engine]}_{form}_ns_per_element"
+        ] = ns

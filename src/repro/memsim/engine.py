@@ -43,6 +43,23 @@ def default_engine_name() -> str:
     return FastEngine.name
 
 
+def expand_scan(
+    read, instr, branch, addr, size, count, step_instr, site, last_taken
+):
+    """The definition of the ``scan`` event, as plain tracer events.
+
+    ``count`` steps of ``instr(step_instr)``, ``read(addr + i*size,
+    size)``, ``branch(site, taken)``, where only the final step's branch
+    takes ``last_taken`` and every earlier one is not taken.  Every
+    tracer's ``scan`` must be counter-identical to this expansion.
+    """
+    last = count - 1
+    for i in range(count):
+        instr(step_instr)
+        read(addr + i * size, size)
+        branch(site, last_taken if i == last else False)
+
+
 class SiteInterner:
     """Bijective branch-site-string <-> small-integer-id mapping.
 
@@ -139,6 +156,20 @@ class ReferenceEngine:
         if not self.predictor.predict_and_update(site, taken):
             c.branch_misses += 1
 
+    def scan(
+        self,
+        addr: int,
+        size: int,
+        count: int,
+        step_instr: int,
+        site: str,
+        last_taken: bool,
+    ) -> None:
+        expand_scan(
+            self.read, self.instr, self.branch,
+            addr, size, count, step_instr, site, last_taken,
+        )
+
     def snapshot(self) -> PerfCounters:
         return self.counters.copy()
 
@@ -187,11 +218,19 @@ class FastEngine:
     single-line read of the MRU line on the MRU page is a pure
     ``l1_hits += 1`` (the previous access provably left both MRU, so
     no state can change), and the MRU-page test skips the TLB dicts
-    entirely.
+    entirely.  ``scan`` applies the same argument to a whole run of
+    elements: one full read per new line, bulk L1-hit counts for the
+    rest, and a closed-form 2-bit-counter update for the branches.
 
-    ``read``/``instr``/``branch``/``replay`` are closures over shared
-    ``nonlocal`` state, bound as instance attributes -- no ``self``
-    in the hot path.  ``replay`` additionally mirrors the counters into
+    ``flush_caches`` resets only *dirty* sets.  A set is dirty iff its
+    MRU way holds a real tag (``s[0] >= 0``): fills and LRU moves
+    always put a real tag at ``ways[0]``, and sentinels only ever move
+    toward LRU, so a set whose MRU way is a sentinel was never touched
+    since the last reset.
+
+    ``read``/``instr``/``branch``/``scan``/``replay`` are closures over
+    shared ``nonlocal`` state, bound as instance attributes -- no
+    ``self`` in the hot path.  ``replay`` additionally mirrors the counters into
     loop locals for batch speed.
     """
 
@@ -202,6 +241,7 @@ class FastEngine:
         "read",
         "instr",
         "branch",
+        "scan",
         "snapshot",
         "flush_caches",
         "replay",
@@ -221,6 +261,7 @@ class FastEngine:
         self.read = ns["read"]
         self.instr = ns["instr"]
         self.branch = ns["branch"]
+        self.scan = ns["scan"]
         self.snapshot = ns["snapshot"]
         self.flush_caches = ns["flush_caches"]
         self.replay = ns["replay"]
@@ -250,17 +291,21 @@ class FastEngine:
         self._no_components()
 
 
+def _sentinels(assoc: int) -> List[int]:
+    # Distinct negative sentinels: never equal to a real (non-negative)
+    # line tag, so membership tests and fills behave exactly like the
+    # reference's grow-then-evict lists.
+    return list(range(-1, -assoc - 1, -1))
+
+
 def _sets_for(size_bytes: int, assoc: int, name: str) -> List[List[int]]:
     if size_bytes % (assoc * LINE_SIZE) != 0:
         raise ValueError(
             f"{name}: size {size_bytes} not a multiple of assoc*line "
             f"({assoc}*{LINE_SIZE})"
         )
-    n_sets = size_bytes // (assoc * LINE_SIZE)
-    # Distinct negative sentinels: never equal to a real (non-negative)
-    # line tag, so membership tests and fills behave exactly like the
-    # reference's grow-then-evict lists.
-    return [list(range(-1, -assoc - 1, -1)) for _ in range(n_sets)]
+    template = _sentinels(assoc)
+    return [template[:] for _ in range(size_bytes // (assoc * LINE_SIZE))]
 
 
 def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
@@ -274,9 +319,9 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
     n1 = len(l1_sets)
     n2 = len(l2_sets)
     n3 = len(l3_sets)
-    a1 = l1[1]
-    a2 = l2[1]
-    a3 = l3[1]
+    clean1 = _sentinels(l1[1])
+    clean2 = _sentinels(l2[1])
+    clean3 = _sentinels(l3[1])
     tlb1_cap, tlb2_cap = tlb_entries
     tlb1: OrderedDict = OrderedDict()
     tlb2: OrderedDict = OrderedDict()
@@ -413,19 +458,70 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
                 brm_c += 1
             bst[sid] = s - 1 if s > 0 else 0
 
+    def scan(addr, size, count, step_instr, site, last_taken):
+        nonlocal reads_c, instr_c, l1h, br_c, brm_c
+        if count <= 0:
+            return
+        if size <= 0 or LINE_SIZE % size or addr % size:
+            # Some element may straddle a line: take the definition.
+            expand_scan(
+                read, instr, branch,
+                addr, size, count, step_instr, site, last_taken,
+            )
+            return
+        # Elements tile lines exactly.  The first read of each line is a
+        # full read; every later element on that line re-reads the line
+        # the previous read left MRU on the MRU page -- a pure L1 hit.
+        end = addr + count * size
+        a = addr
+        while a < end:
+            read(a, size)
+            nxt = ((a >> 6) + 1) << 6
+            if nxt > end:
+                nxt = end
+            hits = (nxt - a) // size - 1
+            reads_c += hits
+            instr_c += hits
+            l1h += hits
+            a = nxt
+        # The count-1 not-taken branches in closed form: each one
+        # mispredicts while the counter predicts taken (s >= 2) and
+        # steps it down.  The final branch is an ordinary one.
+        k = count - 1
+        instr_c += count * step_instr + k
+        if k:
+            br_c += k
+            sid = site_ids.get(site)
+            if sid is None:
+                sid = intern(site)
+            if sid >= len(bst):
+                bst.extend([-1] * (sid + 1 - len(bst)))
+            s = bst[sid]
+            if s < 0:
+                s = 2
+            if s >= 2:
+                brm_c += k if k < s - 1 else s - 1
+            bst[sid] = s - k if s > k else 0
+        branch(site, last_taken)
+
     def snapshot():
         return PerfCounters(
             instr_c, br_c, brm_c, reads_c, l1h, l2h, l3h, llc, tlbm
         )
 
     def flush_caches():
+        # Only dirty sets (real tag in the MRU way) need resetting; see
+        # the class docstring for why `s[0] >= 0` is exact.
         nonlocal ultra_line, mru_page
-        for i in range(n1):
-            l1_sets[i] = list(range(-1, -a1 - 1, -1))
-        for i in range(n2):
-            l2_sets[i] = list(range(-1, -a2 - 1, -1))
-        for i in range(n3):
-            l3_sets[i] = list(range(-1, -a3 - 1, -1))
+        for s in l1_sets:
+            if s[0] >= 0:
+                s[:] = clean1
+        for s in l2_sets:
+            if s[0] >= 0:
+                s[:] = clean2
+        for s in l3_sets:
+            if s[0] >= 0:
+                s[:] = clean3
         tlb1.clear()
         tlb2.clear()
         ultra_line = -1
@@ -593,6 +689,7 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
         "read": read,
         "instr": instr,
         "branch": branch,
+        "scan": scan,
         "snapshot": snapshot,
         "flush_caches": flush_caches,
         "replay": replay,

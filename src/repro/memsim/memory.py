@@ -88,6 +88,15 @@ class TracedArray:
     def get_untraced(self, i: int) -> Union[int, float]:
         return self._py[i]
 
+    def first_at_least(self, key, lo: int, hi: int) -> int:
+        """Untraced forward scan: the first position in ``[lo, hi)``
+        holding an element ``>= key``, or ``max(lo, hi)`` if none does."""
+        py = self._py
+        pos = lo
+        while pos < hi and py[pos] < key:
+            pos += 1
+        return pos
+
     def touch(self, i: int, tracer) -> None:
         """Charge a load of element ``i`` without returning it."""
         tracer.read(self.base + i * self.itemsize, self.itemsize)

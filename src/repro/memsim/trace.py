@@ -101,6 +101,10 @@ class TraceRecorder(Tracer):
     no simulator state.  (Interleaved ``instr``/``branch`` events touch
     neither caches nor TLB, so repeats merge across them; counter sums
     and final state are unaffected by the reordering.)
+
+    ``scan`` is inherited from :class:`~repro.memsim.tracer.Tracer`: it
+    records (and forwards) its expansion, so a trace of a scan is the
+    trace of the spelled-out loop and needs no event kind of its own.
     """
 
     __slots__ = ("inner", "sites", "_k", "_a", "_b", "_ultra_line", "_rep")

@@ -11,7 +11,8 @@ separate "fast" and "measured" code paths that could diverge.
 or the pure-Python reference engine -- the executable spec the fast
 engine is held counter-identical to.  ``read``/``instr``/``branch`` are
 bound straight off the engine in ``__init__`` so the hot path pays no
-per-event delegation.
+per-event delegation.  ``scan`` is one event defined by its expansion
+into those three, so a linear scan still has one lookup code path.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ from typing import Optional
 from repro.memsim.branch import BranchPredictor
 from repro.memsim.cache import CacheHierarchy
 from repro.memsim.counters import PerfCounters
-from repro.memsim.engine import FastEngine, ReferenceEngine, SiteInterner
+from repro.memsim.engine import (
+    FastEngine,
+    ReferenceEngine,
+    SiteInterner,
+    expand_scan,
+)
 from repro.memsim.tlb import TLB
 
 
@@ -38,6 +44,14 @@ class Tracer:
         ``n`` retired arithmetic/logic instructions.
     branch(site, taken):
         A conditional branch at static site ``site`` with outcome ``taken``.
+    scan(addr, size, count, step_instr, site, last_taken):
+        A run of ``count`` loop steps over consecutive ``size``-byte
+        elements from ``addr``, *defined* as its expansion (see
+        :func:`~repro.memsim.engine.expand_scan`): per step
+        ``instr(step_instr)``, ``read(addr + i*size, size)`` and
+        ``branch(site, taken)``, taken only on the final step and only if
+        ``last_taken``.  The default implementation runs that expansion;
+        engines may compute the same counters faster.
     phase(name):
         Marker: subsequent events belong to lookup phase ``name``
         ("model", "search", ...).  A no-op on every stock tracer; the
@@ -59,6 +73,20 @@ class Tracer:
     def branch(self, site: str, taken: bool) -> None:
         raise NotImplementedError
 
+    def scan(
+        self,
+        addr: int,
+        size: int,
+        count: int,
+        step_instr: int,
+        site: str,
+        last_taken: bool,
+    ) -> None:
+        expand_scan(
+            self.read, self.instr, self.branch,
+            addr, size, count, step_instr, site, last_taken,
+        )
+
     def phase(self, name: str) -> None:
         pass
 
@@ -75,6 +103,17 @@ class NullTracer(Tracer):
         pass
 
     def branch(self, site: str, taken: bool) -> None:
+        pass
+
+    def scan(
+        self,
+        addr: int,
+        size: int,
+        count: int,
+        step_instr: int,
+        site: str,
+        last_taken: bool,
+    ) -> None:
         pass
 
 
@@ -95,7 +134,7 @@ class PerfTracer(Tracer):
     objects it does not have.
     """
 
-    __slots__ = ("engine", "read", "instr", "branch")
+    __slots__ = ("engine", "read", "instr", "branch", "scan")
 
     def __init__(
         self,
@@ -124,6 +163,7 @@ class PerfTracer(Tracer):
         self.read = eng.read
         self.instr = eng.instr
         self.branch = eng.branch
+        self.scan = eng.scan
 
     @property
     def counters(self) -> PerfCounters:

@@ -10,7 +10,7 @@ Index ``lookup`` implementations (and the harness) mark phases through
 the tracer interface -- ``tracer.phase("model")`` / ``tracer.phase("search")``
 -- which is a no-op on every stock tracer.  Under ``--profile`` the
 harness wraps its engine tracer in a :class:`PhaseTracer`, which keeps
-``read``/``instr``/``branch`` bound straight to the engine (zero
+``read``/``instr``/``branch``/``scan`` bound straight to the engine (zero
 per-event overhead) and, on each phase *transition*, attributes the
 engine counter delta since the previous transition to the phase just
 left.  Attribution is a telescoping sum of integer snapshots, so the
@@ -69,18 +69,28 @@ class PhaseTracer(Tracer):
     """Tracer wrapper attributing counter deltas to the active phase.
 
     Wraps an engine-backed :class:`~repro.memsim.tracer.PerfTracer`.
-    The three hot methods are re-bound from the engine, so instrumented
+    The four hot methods are re-bound from the engine, so instrumented
     code pays nothing per event; only :meth:`phase` transitions cost an
     engine snapshot.  Events before the first marker land in ``other``.
     """
 
-    __slots__ = ("inner", "read", "instr", "branch", "_current", "_last", "_totals")
+    __slots__ = (
+        "inner",
+        "read",
+        "instr",
+        "branch",
+        "scan",
+        "_current",
+        "_last",
+        "_totals",
+    )
 
     def __init__(self, inner):
         self.inner = inner
         self.read = inner.read
         self.instr = inner.instr
         self.branch = inner.branch
+        self.scan = inner.scan
         self._current = PHASE_OTHER
         self._last = inner.snapshot()
         self._totals: Dict[str, PerfCounters] = {}

@@ -52,17 +52,25 @@ def linear_search(
     bound: SearchBound,
     tracer: Tracer = NULL_TRACER,
 ) -> int:
-    """Forward scan from ``bound.lo`` until a key >= the lookup key."""
-    n = len(data)
-    hi = min(bound.hi, n)
-    pos = bound.lo
-    while pos < hi:
-        tracer.instr(_LINEAR_STEP_INSTR)
-        stop = data.get(pos, tracer) >= key
-        tracer.branch("lastmile.linear", stop)
-        if stop:
-            return pos
-        pos += 1
+    """Forward scan from ``bound.lo`` until a key >= the lookup key.
+
+    Each step costs ``instr``, the element's load and the loop-exit
+    branch (taken only at the stop).  The stop position is found
+    untraced, then the whole run is charged as one ``tracer.scan``
+    event, which is defined as exactly that per-step expansion.
+    """
+    lo = bound.lo
+    hi = min(bound.hi, len(data))
+    pos = data.first_at_least(key, lo, hi)
+    stop = pos < hi
+    tracer.scan(
+        data.addr(lo),
+        data.itemsize,
+        pos - lo + 1 if stop else hi - lo,  # <= 0 for an empty bound
+        _LINEAR_STEP_INSTR,
+        "lastmile.linear",
+        stop,
+    )
     return pos
 
 

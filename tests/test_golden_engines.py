@@ -5,11 +5,16 @@ executable spec it is held counter-identical to.  Running whole cells
 (and the fig16 report) through each engine reproduces the exact golden
 counters -- which is also why the measurement-cache key carries no
 engine: a measurement is the same under either.
+
+``golden_cold_linear.json`` adds the paths the main grid never takes:
+cold-cache cells (a cache/TLB flush before every measured lookup) and
+linear last-mile scans, including scans long enough to cross a page.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -23,6 +28,19 @@ from test_fig16_golden import GOLDEN_SETTINGS as FIG16_SETTINGS
 from test_golden_regression import GOLDEN, assert_matches_golden, cell_of
 
 ENGINES = ["reference", "fast"]
+
+COLD_LINEAR_PATH = os.path.join(
+    os.path.dirname(__file__), "data", "golden_cold_linear.json"
+)
+with open(COLD_LINEAR_PATH) as f:
+    COLD_LINEAR = json.load(f)
+
+
+def _golden_id(r: dict) -> str:
+    return (
+        f"{r['index']}-{r['dataset']}-{'warm' if r['warm'] else 'cold'}"
+        f"-{r['search']}"
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -43,6 +61,22 @@ def test_golden_grid_matches(record, engine):
     with memsim_engine(engine):
         measurement = cell_of(record).run()
     assert_matches_golden(measurement, record)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    "record", COLD_LINEAR, ids=[_golden_id(r) for r in COLD_LINEAR]
+)
+def test_cold_and_linear_cells_match(record, engine):
+    with memsim_engine(engine):
+        measurement = cell_of(record).run()
+    assert_matches_golden(measurement, record)
+
+
+def test_cold_and_linear_cells_cover_both_paths():
+    assert {r["index"] for r in COLD_LINEAR if not r["warm"]} >= {"BTree", "FAST"}
+    linear = {r["index"] for r in COLD_LINEAR if r["search"] == "linear"}
+    assert linear >= {"RMI", "PGM", "RS"}
 
 
 def test_default_engine_is_fast_and_matches_golden():

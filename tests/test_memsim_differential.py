@@ -12,16 +12,23 @@ a subtle state divergence would hide.
 The same property is asserted for record-replay: replaying a recorded
 stream must equal executing it directly, on either engine -- including
 repeat replays of the *same* trace objects.
+
+``scan`` events join the alphabet: empty, single-step and long runs,
+aligned and misaligned, with element sizes that straddle lines and runs
+that cross pages.  The fast engine's bulk ``scan`` is held to the plain
+expansion, and an engine after its dirty-set flush to a fresh engine.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MEMSIM_ENGINES
+from repro.core.bounds import SearchBound
 from repro.memsim import (
     Cache,
     CacheHierarchy,
@@ -29,10 +36,13 @@ from repro.memsim import (
     PerfTracer,
     ReferenceEngine,
     SiteInterner,
+    TracedArray,
     TraceRecorder,
 )
+from repro.memsim.engine import expand_scan
 from repro.memsim.tlb import TLB
 from repro.memsim.trace import K_REPEAT
+from repro.search.last_mile import _LINEAR_STEP_INSTR, linear_search
 
 #: Engine names, the reference first.
 ENGINE_NAMES = tuple(MEMSIM_ENGINES)
@@ -63,12 +73,44 @@ def _events():
     flush = st.tuples(st.just("flush"))
     snapshot = st.tuples(st.just("snapshot"))
     return st.lists(
-        st.one_of(read, branch, instr, flush, snapshot), max_size=400
+        st.one_of(read, branch, instr, _scans(), flush, snapshot),
+        max_size=400,
     )
 
 
+def _scans():
+    """("scan", base, offset, size, count, step_instr, site, last_taken).
+
+    Offsets are either arbitrary (mostly misaligned) or a multiple of
+    the element size; sizes include ones that straddle lines; counts
+    cover empty, single-step, short and page-crossing runs (a 4 KiB
+    page holds 512 8-byte elements).
+    """
+    size = st.sampled_from([1, 2, 4, 8, 16, 64, 3, 24, 100])
+    count = st.one_of(
+        st.sampled_from([0, 1]), st.integers(2, 40), st.integers(500, 700)
+    )
+
+    def build(t):
+        base, offset, size, aligned, count, step, site, last = t
+        if aligned:
+            offset -= offset % size
+        return ("scan", base, offset, size, count, step, site, last)
+
+    return st.tuples(
+        st.sampled_from(_BASES),
+        st.integers(0, 5000),
+        size,
+        st.booleans(),
+        count,
+        st.integers(0, 6),
+        st.sampled_from(_SITES),
+        st.booleans(),
+    ).map(build)
+
+
 def _apply(tracer, events):
-    """Feed the tracer-interface events (read/branch/instr) only."""
+    """Feed the tracer-interface events (read/branch/instr/scan) only."""
     for ev in events:
         if ev[0] == "read":
             tracer.read(ev[1] + ev[2], ev[3])
@@ -76,6 +118,11 @@ def _apply(tracer, events):
             tracer.branch(ev[1], ev[2])
         elif ev[0] == "instr":
             tracer.instr(ev[1])
+        elif ev[0] == "scan":
+            tracer.scan(ev[1] + ev[2], *ev[3:])
+
+
+_LOOKUP_EVENTS = ("read", "branch", "instr", "scan")
 
 
 def _drive(tracer, events):
@@ -150,7 +197,7 @@ def test_replay_equals_direct_execution(events):
     recorder = TraceRecorder(sites=sites)
     # Flushes and snapshots are measurement-loop concerns, not lookup
     # events; a trace holds only the tracer-visible stream.
-    stream = [e for e in events if e[0] in ("read", "branch", "instr")]
+    stream = [e for e in events if e[0] in _LOOKUP_EVENTS]
     _apply(recorder, stream)
     trace = recorder.finish()
 
@@ -172,8 +219,8 @@ def test_replay_equals_direct_execution(events):
 @settings(max_examples=40, deadline=None)
 def test_replay_composes_with_live_events(events, events2):
     """Interleaving replays with direct calls keeps engines in lockstep."""
-    stream = [e for e in events if e[0] in ("read", "branch", "instr")]
-    stream2 = [e for e in events2 if e[0] in ("read", "branch", "instr")]
+    stream = [e for e in events if e[0] in _LOOKUP_EVENTS]
+    stream2 = [e for e in events2 if e[0] in _LOOKUP_EVENTS]
     sites = SiteInterner()
     recorder = TraceRecorder(sites=sites)
     _apply(recorder, stream)
@@ -255,3 +302,156 @@ def test_multiline_and_page_crossing_reads(engine):
     assert c.reads == 1
     assert c.l1_hits + c.l2_hits + c.l3_hits + c.llc_misses == 3  # walk + 2
     assert c.tlb_misses == 1  # only the first page is translated
+
+
+# --------------------------------------------------------------------
+# scan: one event, defined by its expansion.
+# --------------------------------------------------------------------
+
+
+def _expanded(events):
+    """The same stream with every scan replaced by its expansion."""
+    out = []
+    for ev in events:
+        if ev[0] != "scan":
+            out.append(ev)
+            continue
+        _, base, offset, size, count, step, site, last = ev
+        for i in range(count):
+            out.append(("instr", step))
+            out.append(("read", base, offset + i * size, size))
+            out.append(("branch", site, last if i == count - 1 else False))
+    return out
+
+
+@given(_events())
+@settings(max_examples=80, deadline=None)
+def test_scan_equals_its_expansion(events):
+    """Fast ``scan`` == reference ``scan`` == the spelled-out events."""
+    expected = _drive(PerfTracer(engine=ReferenceEngine()), _expanded(events))
+    assert _drive(PerfTracer(engine=ReferenceEngine()), events) == expected
+    assert _drive(PerfTracer(), events) == expected
+
+
+@given(_events())
+@settings(max_examples=40, deadline=None)
+def test_scan_equals_its_expansion_under_tiny_geometry(events):
+    expected = _drive(_tiny_reference(), _expanded(events))
+    assert _drive(PerfTracer(engine=FastEngine(**_TINY_KW)), events) == (
+        expected
+    )
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+@pytest.mark.parametrize(
+    "addr,size,count",
+    [
+        (4096, 8, 0),  # empty run: no events at all
+        (4096, 8, 1),
+        (4096 - 24, 8, 600),  # aligned, crosses a page
+        (4096 - 21, 8, 600),  # misaligned: every 8th element straddles
+        (100, 24, 300),  # size that does not divide a line
+        (0, 64, 70),  # one whole line per element, crosses a page
+    ],
+)
+@pytest.mark.parametrize("last_taken", [False, True])
+def test_scan_spot_checks(engine, addr, size, count, last_taken):
+    by_event = _tracer(engine)
+    by_event.scan(addr, size, count, 3, "loop", last_taken)
+    by_hand = _tracer(engine)
+    expand_scan(
+        by_hand.read, by_hand.instr, by_hand.branch,
+        addr, size, count, 3, "loop", last_taken,
+    )
+    assert by_event.snapshot() == by_hand.snapshot()
+    c = by_event.snapshot()
+    assert (c.reads, c.branches) == (count, count)
+    # A probe of every touched line afterwards sees identical state.
+    for t in (by_event, by_hand):
+        for a in range(addr, addr + max(count, 1) * size, 64):
+            t.read(a, 1)
+        t.branch("loop", True)
+    assert by_event.snapshot() == by_hand.snapshot()
+
+
+# --------------------------------------------------------------------
+# Dirty-set flush: a flushed engine is a fresh engine.
+# --------------------------------------------------------------------
+
+
+def _deltas(snaps):
+    return [s - snaps[0] for s in snaps]
+
+
+@given(_events(), _events())
+@settings(max_examples=60, deadline=None)
+def test_flushed_engine_behaves_like_fresh(prefix, events):
+    """Caches and TLB after ``flush_caches`` equal a fresh engine's.
+
+    The branch predictor is deliberately not flushed, so the warming
+    prefix uses memory events only; the stream after the flush is
+    unrestricted (flushes included).
+    """
+    warmup = [e for e in prefix if e[0] in ("read", "instr")]
+    for kw in ({}, _TINY_KW):
+        flushed = PerfTracer(engine=FastEngine(**kw))
+        _apply(flushed, warmup)
+        flushed.flush_caches()
+        fresh = PerfTracer(engine=FastEngine(**kw))
+        assert _deltas(_drive(flushed, events)) == _drive(fresh, events)
+
+
+# --------------------------------------------------------------------
+# Recording a linear search records its expansion.
+# --------------------------------------------------------------------
+
+
+def _linear_by_hand(data, key, bound, tracer):
+    """The per-element linear scan, spelled out event by event."""
+    hi = min(bound.hi, len(data))
+    pos = bound.lo
+    while pos < hi:
+        tracer.instr(_LINEAR_STEP_INSTR)
+        stop = data.get(pos, tracer) >= key
+        tracer.branch("lastmile.linear", stop)
+        if stop:
+            return pos
+        pos += 1
+    return pos
+
+
+@given(
+    st.lists(st.integers(0, 10_000), min_size=1, max_size=1_200),
+    st.lists(
+        st.tuples(
+            st.integers(-5, 10_005), st.integers(0, 1_300), st.integers(0, 700)
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.sampled_from([1 << 20, (1 << 20) + 4, (1 << 20) + 4096 - 40]),
+)
+@settings(max_examples=60, deadline=None)
+def test_recorder_records_linear_search_as_its_expansion(values, lookups, base):
+    data = TracedArray(np.array(sorted(values), dtype=np.int64), base)
+    recorded = []
+    for search in (linear_search, _linear_by_hand):
+        sites = SiteInterner()
+        inner = _tracer("fast", sites)
+        rec = TraceRecorder(inner, sites)
+        positions = [
+            search(data, key, SearchBound(lo, lo + width), rec)
+            for key, lo, width in lookups
+        ]
+        trace = rec.finish()
+        recorded.append(
+            (
+                positions,
+                trace.kinds.tolist(),
+                trace.a.tolist(),
+                trace.b.tolist(),
+                list(sites.names),
+                inner.snapshot(),
+            )
+        )
+    assert recorded[0] == recorded[1]

@@ -95,3 +95,11 @@ class TestTracedArray:
         t = PerfTracer()
         arr.touch(0, t)
         assert t.counters.reads == 1
+
+    def test_first_at_least_is_untraced_forward_scan(self):
+        arr = TracedArray(np.array([1, 3, 3, 7], dtype=np.int64), 0)
+        assert arr.first_at_least(3, 0, 4) == 1
+        assert arr.first_at_least(3, 2, 4) == 2
+        assert arr.first_at_least(8, 0, 4) == 4  # none: hi
+        assert arr.first_at_least(8, 0, 2) == 2  # stops at hi, not len
+        assert arr.first_at_least(0, 3, 1) == 3  # empty range: lo

@@ -47,6 +47,7 @@ class TestPhaseTracer:
         assert t.read is inner.read
         assert t.instr is inner.instr
         assert t.branch is inner.branch
+        assert t.scan is inner.scan
 
     def test_attribution_by_transition(self):
         t = PhaseTracer(PerfTracer())
@@ -226,6 +227,31 @@ class TestGoldenPhases:
             assert m.avg_log2_bound == record["avg_log2_bound"]
             for name, value in record["counters"].items():
                 assert getattr(m.counters, name) == value, name
+            assert (
+                phase_sum(m.phases).per_lookup(m.n_lookups) == m.counters
+            )
+
+
+class TestLinearScanPhases:
+    """A linear last-mile scan is one ``scan`` event bound straight to
+    the engine; profiling it must still telescope byte-exactly."""
+
+    GOLDEN_PATH = os.path.join(
+        os.path.dirname(__file__), "data", "golden_cold_linear.json"
+    )
+
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_profiled_linear_cells_sum_to_counters(self, engine):
+        from test_golden_regression import assert_matches_golden, cell_of
+
+        with open(self.GOLDEN_PATH) as f:
+            records = [r for r in json.load(f) if r["search"] == "linear"]
+        assert records
+        for record in records:
+            with memsim_engine(engine):
+                m = cell_of(record).run(profile=True)
+            assert_matches_golden(m, record)
+            assert m.phases["search"].branches > 0
             assert (
                 phase_sum(m.phases).per_lookup(m.n_lookups) == m.counters
             )

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounds import SearchBound
-from repro.memsim import AddressSpace, PerfTracer, TracedArray
+from repro.memsim import AddressSpace, NullTracer, PerfTracer, TracedArray
 from repro.search.last_mile import (
     SEARCH_FUNCTIONS,
     binary_search,
@@ -74,6 +74,33 @@ class TestCostProfiles:
         t = PerfTracer()
         linear_search(data, 101, SearchBound(0, 501), t)
         assert 45 <= t.counters.reads <= 60
+
+    def test_linear_emits_one_scan_event(self):
+        keys = list(range(0, 1000, 2))
+        data = traced(keys)
+        calls = []
+
+        class Spy(NullTracer):
+            def scan(self, *args):
+                calls.append(args)
+
+        assert linear_search(data, 101, SearchBound(0, 501), Spy()) == 51
+        assert calls == [
+            (data.addr(0), data.itemsize, 52, 3, "lastmile.linear", True)
+        ]
+        # Running off the end of the bound: every branch not taken.
+        calls.clear()
+        assert linear_search(data, 101, SearchBound(10, 20), Spy()) == 20
+        assert calls == [
+            (data.addr(10), data.itemsize, 10, 3, "lastmile.linear", False)
+        ]
+        # An empty bound is an empty scan: no events at all.
+        calls.clear()
+        assert linear_search(data, 101, SearchBound(7, 7), Spy()) == 7
+        assert [c[2] for c in calls] == [0]
+        t = PerfTracer()
+        linear_search(data, 101, SearchBound(7, 7), t)
+        assert t.snapshot() == PerfTracer().snapshot()
 
     def test_interpolation_few_probes_on_uniform(self):
         keys = list(range(0, 100_000, 7))
