@@ -16,7 +16,6 @@ simply never looked up again (their keys hash differently).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -27,6 +26,7 @@ from typing import Optional
 
 from repro.bench.cells import MeasureCell
 from repro.bench.harness import Measurement
+from repro.codec import content_hash
 from repro.memsim.counters import PerfCounters, PerfCountersF
 from repro.obs import metrics as obs_metrics
 from repro.obs.phase import profiling_enabled
@@ -85,9 +85,7 @@ def cache_key(cell: MeasureCell, schema_version: Optional[int] = None) -> str:
     """
     if schema_version is None:
         schema_version = CACHE_SCHEMA_VERSION
-    payload = {"schema": schema_version, "cell": cell.key_fields()}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:40]
+    return content_hash({"schema": schema_version, "cell": cell.key_fields()})
 
 
 def scenario_key(spec, schema_version: Optional[int] = None) -> str:
@@ -104,9 +102,7 @@ def scenario_key(spec, schema_version: Optional[int] = None) -> str:
     """
     if schema_version is None:
         schema_version = CACHE_SCHEMA_VERSION
-    payload = {"schema": schema_version, "scenario": spec.to_dict()}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:40]
+    return content_hash({"schema": schema_version, "scenario": spec.to_dict()})
 
 
 def measurement_to_record(m: Measurement) -> dict:
@@ -159,22 +155,56 @@ def sim_key(task, schema_version: Optional[int] = None) -> str:
     """
     if schema_version is None:
         schema_version = CACHE_SCHEMA_VERSION
-    payload = {"schema": schema_version, "sim": task.key_fields()}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:40]
+    return content_hash({"schema": schema_version, "sim": task.key_fields()})
 
 
-class MeasurementCache:
-    """Directory of ``<content-key>.json`` measurement records.
+class _EntryDirectory:
+    """A directory of ``<content-key>.json`` cache entries.
 
     Writes are atomic (temp file + ``os.replace``), so concurrent runs
-    sharing a cache directory at worst redo a cell, never corrupt one.
+    sharing a directory at worst redo an entry, never corrupt one.
+    Subclasses own the key and the ``get``/``put`` record layout.
     """
 
     def __init__(self, directory: str):
         self.directory = directory
         self.hits = 0
         self.misses = 0
+
+    def _write(self, path: str, entry: dict) -> None:
+        os.makedirs(self.directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(
+            dir=self.directory, prefix=".tmp-", suffix=".json"
+        )
+        try:
+            with os.fdopen(fd, "w") as f:
+                json.dump(entry, f, indent=1, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+
+    def __len__(self) -> int:
+        try:
+            names = os.listdir(self.directory)
+        except OSError:
+            return 0
+        return sum(
+            1
+            for n in names
+            if n.endswith(".json") and not n.startswith(".tmp-")
+        )
+
+    def reset_stats(self) -> None:
+        self.hits = 0
+        self.misses = 0
+
+
+class MeasurementCache(_EntryDirectory):
+    """Directory of ``<content-key>.json`` measurement records."""
 
     def _path(self, cell: MeasureCell) -> str:
         return os.path.join(self.directory, cache_key(cell) + ".json")
@@ -196,58 +226,23 @@ class MeasurementCache:
         return measurement_from_record(record)
 
     def put(self, cell: MeasureCell, measurement: Measurement) -> None:
-        os.makedirs(self.directory, exist_ok=True)
         entry = {
             "schema": CACHE_SCHEMA_VERSION,
             "cell": cell.key_fields(),
             "measurement": measurement_to_record(measurement),
         }
-        fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(entry, f, indent=1, sort_keys=True)
-            os.replace(tmp, self._path(cell))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def __len__(self) -> int:
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return 0
-        return sum(
-            1
-            for n in names
-            if n.endswith(".json") and not n.startswith(".tmp-")
-        )
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
+        self._write(self._path(cell), entry)
 
 
-class SimResultCache:
+class SimResultCache(_EntryDirectory):
     """Directory of ``<sim-key>.json`` simulation-result records.
 
     The serving analogue of :class:`MeasurementCache`: each
     :mod:`repro.serve.sweep` task stores its (JSON-able) result record
     under the task's :func:`sim_key`.  Lives in its own subdirectory
     (conventionally ``<cache_dir>/serving/``) so measurement-cache
-    bookkeeping (``MeasurementCache.__len__``) is unaffected.  Writes
-    are atomic, so concurrent sweeps sharing a directory at worst redo
-    a simulation, never corrupt a record.
+    bookkeeping (``MeasurementCache.__len__``) is unaffected.
     """
-
-    def __init__(self, directory: str):
-        self.directory = directory
-        self.hits = 0
-        self.misses = 0
 
     def _path(self, task) -> str:
         return os.path.join(self.directory, sim_key(task) + ".json")
@@ -263,37 +258,9 @@ class SimResultCache:
         return result
 
     def put(self, task, result: dict) -> None:
-        os.makedirs(self.directory, exist_ok=True)
         entry = {
             "schema": CACHE_SCHEMA_VERSION,
             "sim": task.key_fields(),
             "result": result,
         }
-        fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(entry, f, indent=1, sort_keys=True)
-            os.replace(tmp, self._path(task))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def __len__(self) -> int:
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return 0
-        return sum(
-            1
-            for n in names
-            if n.endswith(".json") and not n.startswith(".tmp-")
-        )
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
+        self._write(self._path(task), entry)

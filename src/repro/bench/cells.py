@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.bench.harness import Measurement, measure_index
+from repro.codec import encode
 from repro.datasets.loader import Dataset, make_dataset
 from repro.datasets.workload import Workload, make_workload
 
@@ -92,24 +93,13 @@ class MeasureCell:
         return dict(self.config)
 
     def key_fields(self) -> dict:
-        """The fields that define this cell's identity, as a plain dict.
+        """The fields that define this cell's identity, as a plain dict
+        (the codec encoding; the config pairs become an object).
 
-        This is the input to the persistent cache's content hash; field
-        order does not matter (the hash canonicalizes), but values must
-        stay JSON-scalar.
+        This is the input to the persistent cache's content hash; values
+        must stay JSON-scalar.
         """
-        return {
-            "dataset": self.dataset,
-            "n_keys": self.n_keys,
-            "seed": self.seed,
-            "key_bits": self.key_bits,
-            "index": self.index,
-            "config": self.config_dict(),
-            "n_lookups": self.n_lookups,
-            "warmup": self.warmup,
-            "warm": self.warm,
-            "search": self.search,
-        }
+        return encode(self)
 
     def materialize(self) -> Tuple[Dataset, Workload]:
         """Rebuild the dataset + workload this cell measures against.

@@ -250,7 +250,7 @@ def run(settings: BenchSettings) -> str:
         )
 
         for (label, spec), record in zip(scenarios, records):
-            stats = TenancyRunStats.from_record(record)
+            stats = TenancyRunStats.from_dict(record)
             stats.to_metrics()
             series = TimeSeries.from_dict(record["telemetry"])
             publish(f"ext_reconfig/{ds_name}/{label}", series)

@@ -81,9 +81,7 @@ from repro.serve.router import RouterPolicy, ShardMap, request_keys
 from repro.serve.scenario import (
     AdmissionSpec,
     ArrivalSpec,
-    FaultSpec,
     KeySpaceSpec,
-    PolicySpec,
     ScenarioSpec,
     TenantSpec,
     TopologySpec,
@@ -183,8 +181,6 @@ __all__ = [
     "ArrivalSpec",
     "KeySpaceSpec",
     "TopologySpec",
-    "PolicySpec",
-    "FaultSpec",
     "AdmissionSpec",
     "single_tenant_spec",
     "TenantTrace",

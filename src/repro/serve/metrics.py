@@ -10,10 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.codec import Codec
+
 
 @dataclass(frozen=True)
-class LatencySummary:
-    """Percentile view of one serving run (all latencies in ns)."""
+class LatencySummary(Codec):
+    """Percentile view of one serving run (all latencies in ns).
+
+    Its codec form is what the persistent simulation-result cache
+    stores; floats round-trip exactly through JSON (shortest repr), so a
+    cached summary is byte-identical to a recomputed one.
+    """
 
     n: int
     mean_ns: float
@@ -26,36 +33,6 @@ class LatencySummary:
 
     def meets(self, p99_slo_ns: float) -> bool:
         return self.p99_ns <= p99_slo_ns
-
-    def to_dict(self) -> dict:
-        """JSON-able form for the persistent simulation-result cache.
-
-        Floats round-trip exactly through JSON (shortest-repr), so a
-        cached summary is byte-identical to a recomputed one.
-        """
-        return {
-            "n": self.n,
-            "mean_ns": self.mean_ns,
-            "p50_ns": self.p50_ns,
-            "p95_ns": self.p95_ns,
-            "p99_ns": self.p99_ns,
-            "p999_ns": self.p999_ns,
-            "max_ns": self.max_ns,
-            "throughput_per_sec": self.throughput_per_sec,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LatencySummary":
-        return cls(
-            n=int(d["n"]),
-            mean_ns=float(d["mean_ns"]),
-            p50_ns=float(d["p50_ns"]),
-            p95_ns=float(d["p95_ns"]),
-            p99_ns=float(d["p99_ns"]),
-            p999_ns=float(d["p999_ns"]),
-            max_ns=float(d["max_ns"]),
-            throughput_per_sec=float(d["throughput_per_sec"]),
-        )
 
     def to_metrics(
         self,

@@ -382,7 +382,7 @@ def select_cluster_under_slo(
         ]
         records = run_sim_tasks(tasks, jobs=jobs, cache=sim_cache)
         for family, record in zip(families, records):
-            stats = ClusterRunStats.from_record(record)
+            stats = ClusterRunStats.from_dict(record)
             stats.to_metrics()
             per_shard = list(shard_measurements[family])
             candidates.append(

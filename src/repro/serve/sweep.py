@@ -4,8 +4,9 @@ The measurement grid already flows through picklable cells, a process
 pool and a persistent cache (:mod:`repro.bench.parallel`); this module
 gives the serving simulations the same treatment.  Each simulation an
 experiment wants -- one open-loop run, one cluster replay, one tenancy
-scenario -- is captured as a frozen *task* dataclass of plain scalars:
-hashable (in-process memo), picklable (``--jobs`` fan-out) and JSON-able
+scenario -- is captured as a frozen *task* dataclass of scalars and
+frozen model values: hashable (in-process memo), picklable (``--jobs``
+fan-out) and encodable by :mod:`repro.codec`
 (:func:`repro.bench.cache.sim_key` content keys for the persistent
 :class:`~repro.bench.cache.SimResultCache`).  Workers rebuild arrival
 processes, request keys, shard maps and fault schedules from the task's
@@ -17,28 +18,33 @@ Determinism contract, inherited from the simulators: simulations are
 byte-identical across serial runs, ``--jobs N`` and cache replay
 (``tests/test_serve_sweep.py``).
 
-Result records are plain dicts of JSON scalars.  :class:`ClusterRunStats`
-and :class:`TenancyRunStats` wrap the cluster/tenancy records back into
-objects whose accessors -- ``availability``, ``summary``, ``to_metrics``
--- reproduce the originals' values exactly, so experiments publish the
-same metrics whether a run was simulated inline, pooled, or replayed
-from cache.
+Result records are plain dicts of JSON scalars: the codec forms of
+:class:`ClusterRunStats` and :class:`TenancyRunStats`, whose accessors
+-- ``availability``, ``summary``, ``to_metrics`` -- reproduce the
+originals' values exactly, so experiments publish the same metrics
+whether a run was simulated inline, pooled, or replayed from cache.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.codec import Codec, encode, omit_default
 from repro.datasets.loader import make_dataset
 from repro.memsim.counters import PerfCountersF
 from repro.serve.arrivals import bursty_arrivals, poisson_arrivals
+from repro.serve.cluster import ShardStats
 from repro.serve.contention import MachineModel
 from repro.serve.core import ServiceModel, simulate_open_loop
+from repro.serve.faults import FaultConfig
 from repro.serve.metrics import LatencySummary, summarize_result
+from repro.serve.reconfig import ReconfigSpec
+from repro.serve.router import RouterPolicy, ShardMap
 from repro.serve.telemetry import TelemetryConfig
 
 __all__ = [
@@ -54,8 +60,6 @@ __all__ = [
     "open_loop_task",
     "cluster_task",
     "scenario_task",
-    "freeze_machine",
-    "freeze_telemetry",
     "clear_sim_results",
 ]
 
@@ -69,111 +73,44 @@ def clear_sim_results() -> None:
 
 
 # ---------------------------------------------------------------------------
-# freezing helpers: model objects <-> tuples of JSON scalars
-# ---------------------------------------------------------------------------
-
-
-def freeze_machine(machine: MachineModel) -> Tuple[Tuple[str, float], ...]:
-    """Canonical, hashable form of a :class:`MachineModel`."""
-    return (
-        ("cores", machine.cores),
-        ("threads", machine.threads),
-        ("ht_gain", machine.ht_gain),
-        ("dram_bandwidth_bytes", machine.dram_bandwidth_bytes),
-    )
-
-
-def _thaw_machine(frozen: Tuple[Tuple[str, float], ...]) -> MachineModel:
-    d = dict(frozen)
-    return MachineModel(
-        cores=int(d["cores"]),
-        threads=int(d["threads"]),
-        ht_gain=float(d["ht_gain"]),
-        dram_bandwidth_bytes=float(d["dram_bandwidth_bytes"]),
-    )
-
-
-def _freeze_policy(policy) -> Tuple[Tuple[str, object], ...]:
-    return (
-        ("hedge_after_ns", policy.hedge_after_ns),
-        ("max_attempts", policy.max_attempts),
-        ("backoff_base_ns", policy.backoff_base_ns),
-        ("backoff_cap_ns", policy.backoff_cap_ns),
-        ("batch_window_ns", policy.batch_window_ns),
-    )
-
-
-def _freeze_faults(faults) -> Optional[Tuple[Tuple[str, object], ...]]:
-    if faults is None:
-        return None
-    return (
-        ("crash_mttf_ns", faults.crash_mttf_ns),
-        ("crash_mttr_ns", faults.crash_mttr_ns),
-        ("slow_mttf_ns", faults.slow_mttf_ns),
-        ("slow_mttr_ns", faults.slow_mttr_ns),
-        ("slow_factor", faults.slow_factor),
-        ("seed", faults.seed),
-    )
-
-
-def _service_from_frozen(
-    counters: Tuple[Tuple[str, float], ...],
-    fence: bool,
-    machine: MachineModel,
-) -> ServiceModel:
-    return ServiceModel(
-        PerfCountersF(**dict(counters)), fence=fence, machine=machine
-    )
-
-
-def _pairs(value):
-    """JSON form of a frozen pair tuple (or None)."""
-    return None if value is None else dict(value)
-
-
-def freeze_telemetry(
-    config: Optional[TelemetryConfig],
-) -> Optional[Tuple[Tuple[str, object], ...]]:
-    """Canonical, hashable form of a :class:`TelemetryConfig`.
-
-    Traces are refused: task records are JSON aggregates sized for the
-    persistent cache, and per-attempt traces belong on inline
-    ``simulate_*`` calls, not fanned-out sweeps.
-    """
-    if config is None:
-        return None
-    if config.traces:
-        raise ValueError(
-            "sweep tasks do not support telemetry traces; call the "
-            "simulate_* function inline to collect traces"
-        )
-    return (
-        ("window_ns", config.window_ns),
-        ("slo_p99_ns", config.slo_p99_ns),
-    )
-
-
-def _thaw_telemetry(
-    frozen: Optional[Tuple[Tuple[str, object], ...]],
-) -> Optional[TelemetryConfig]:
-    if frozen is None:
-        return None
-    d = dict(frozen)
-    return TelemetryConfig(
-        window_ns=float(d["window_ns"]),
-        slo_p99_ns=(
-            None if d["slo_p99_ns"] is None else float(d["slo_p99_ns"])
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
 # tasks
 # ---------------------------------------------------------------------------
 
 
+class _SimTask:
+    """What the task dataclasses below share.
+
+    A task's identity is its codec encoding plus its ``kind``
+    (:meth:`key_fields`, the input of
+    :func:`repro.bench.cache.sim_key`).  Optional fields are omitted
+    while unset, so telemetry-off and reconfig-off keys are bit-for-bit
+    what they were before those fields existed.  Per-attempt traces are
+    refused: task records are JSON aggregates sized for the persistent
+    cache, and traces belong on inline ``simulate_*`` calls.
+    """
+
+    kind = ""
+
+    def __post_init__(self):
+        if self.telemetry is not None and self.telemetry.traces:
+            raise ValueError(
+                "sweep tasks do not support telemetry traces; call the "
+                "simulate_* function inline to collect traces"
+            )
+
+    def key_fields(self) -> dict:
+        return {"kind": self.kind, **encode(self)}
+
+    def _service(self, counters) -> ServiceModel:
+        return ServiceModel(
+            PerfCountersF(**dict(counters)),
+            fence=self.fence,
+            machine=self.machine,
+        )
+
+
 @dataclass(frozen=True)
-class OpenLoopTask:
+class OpenLoopTask(_SimTask):
     """One single-node open-loop simulation: counters + traffic + cores.
 
     The service model is rebuilt from the measured per-lookup counters
@@ -182,39 +119,19 @@ class OpenLoopTask:
     so the worker reproduces the parent's inputs exactly.
     """
 
+    kind = "open_loop"
+
     counters: Tuple[Tuple[str, float], ...]
     fence: bool
-    machine: Tuple[Tuple[str, float], ...]
+    machine: MachineModel
     shape: str  # "poisson" or "bursty"
     rate_per_sec: float
     n_requests: int
     seed: int
     n_cores: int
-    #: Frozen :class:`TelemetryConfig` (via :func:`freeze_telemetry`).
-    #: None omits the key-fields entry entirely, so telemetry-off task
-    #: keys are bit-for-bit what they were before telemetry existed.
-    telemetry: Optional[Tuple[Tuple[str, object], ...]] = None
-
-    def key_fields(self) -> dict:
-        fields = {
-            "kind": "open_loop",
-            "counters": dict(self.counters),
-            "fence": self.fence,
-            "machine": dict(self.machine),
-            "shape": self.shape,
-            "rate_per_sec": self.rate_per_sec,
-            "n_requests": self.n_requests,
-            "seed": self.seed,
-            "n_cores": self.n_cores,
-        }
-        if self.telemetry is not None:
-            fields["telemetry"] = _pairs(self.telemetry)
-        return fields
+    telemetry: Optional[TelemetryConfig] = omit_default(None)
 
     def run(self) -> dict:
-        service = _service_from_frozen(
-            self.counters, self.fence, _thaw_machine(self.machine)
-        )
         if self.shape == "poisson":
             arrivals = poisson_arrivals(
                 self.rate_per_sec, self.n_requests, self.seed
@@ -226,10 +143,10 @@ class OpenLoopTask:
         else:
             raise ValueError(f"unknown arrival shape {self.shape!r}")
         result = simulate_open_loop(
-            service,
+            self._service(self.counters),
             arrivals,
             self.n_cores,
-            telemetry=_thaw_telemetry(self.telemetry),
+            telemetry=self.telemetry,
         )
         summary = summarize_result(result)
         record = {
@@ -243,7 +160,7 @@ class OpenLoopTask:
 
 
 @dataclass(frozen=True)
-class ClusterTask:
+class ClusterTask(_SimTask):
     """One cluster replay: per-shard counters, routing, policy, faults.
 
     ``lookup_keys`` and ``shard_bounds`` are carried verbatim (the
@@ -251,9 +168,11 @@ class ClusterTask:
     arrivals regenerate from ``(rate, n, seed)``.
     """
 
+    kind = "cluster"
+
     per_shard_counters: Tuple[Tuple[Tuple[str, float], ...], ...]
     fence: bool
-    machine: Tuple[Tuple[str, float], ...]
+    machine: MachineModel
     shard_bounds: Tuple[int, ...]
     lookup_keys: Tuple[int, ...]
     rate_per_sec: float
@@ -261,66 +180,26 @@ class ClusterTask:
     seed: int
     n_replicas: int
     n_cores: int
-    policy: Tuple[Tuple[str, object], ...]
-    faults: Optional[Tuple[Tuple[str, object], ...]]
+    policy: RouterPolicy
+    faults: Optional[FaultConfig]
     fault_horizon_ns: Optional[float]
-    telemetry: Optional[Tuple[Tuple[str, object], ...]] = None
-    #: Canonical :class:`~repro.serve.reconfig.ReconfigSpec` JSON; None
-    #: (or a trigger-free spec, normalized away by :func:`cluster_task`)
-    #: leaves the cache key exactly as before the field existed.
-    reconfig: Optional[str] = None
-
-    def key_fields(self) -> dict:
-        import json
-
-        fields = {
-            "kind": "cluster",
-            "per_shard_counters": [dict(c) for c in self.per_shard_counters],
-            "fence": self.fence,
-            "machine": dict(self.machine),
-            "shard_bounds": list(self.shard_bounds),
-            "lookup_keys": list(self.lookup_keys),
-            "rate_per_sec": self.rate_per_sec,
-            "n_requests": self.n_requests,
-            "seed": self.seed,
-            "n_replicas": self.n_replicas,
-            "n_cores": self.n_cores,
-            "policy": _pairs(self.policy),
-            "faults": _pairs(self.faults),
-            "fault_horizon_ns": self.fault_horizon_ns,
-        }
-        if self.telemetry is not None:
-            fields["telemetry"] = _pairs(self.telemetry)
-        if self.reconfig is not None:
-            fields["reconfig"] = json.loads(self.reconfig)
-        return fields
+    telemetry: Optional[TelemetryConfig] = omit_default(None)
+    #: None (or a trigger-free spec, normalized away by
+    #: :func:`cluster_task`) leaves the key exactly as before the field
+    #: existed.
+    reconfig: Optional[ReconfigSpec] = omit_default(None)
 
     def run(self) -> dict:
         from repro.serve.cluster import Cluster, simulate_cluster
-        from repro.serve.faults import FaultConfig
-        from repro.serve.reconfig import ReconfigSpec
-        from repro.serve.router import RouterPolicy, ShardMap
 
-        machine = _thaw_machine(self.machine)
         cluster = Cluster(
             shard_map=ShardMap(list(self.shard_bounds)),
-            services=[
-                _service_from_frozen(c, self.fence, machine)
-                for c in self.per_shard_counters
-            ],
+            services=[self._service(c) for c in self.per_shard_counters],
             n_replicas=self.n_replicas,
             n_cores=self.n_cores,
-            policy=RouterPolicy(**dict(self.policy)),
-            faults=(
-                None
-                if self.faults is None
-                else FaultConfig(**dict(self.faults))
-            ),
-            reconfig=(
-                None
-                if self.reconfig is None
-                else ReconfigSpec.from_json(self.reconfig)
-            ),
+            policy=self.policy,
+            faults=self.faults,
+            reconfig=self.reconfig,
         )
         arrivals = poisson_arrivals(
             self.rate_per_sec, self.n_requests, self.seed
@@ -330,16 +209,16 @@ class ClusterTask:
             arrivals,
             list(self.lookup_keys),
             fault_horizon_ns=self.fault_horizon_ns,
-            telemetry=_thaw_telemetry(self.telemetry),
+            telemetry=self.telemetry,
         )
-        record = ClusterRunStats.from_result(result).to_record()
+        record = ClusterRunStats.from_result(result).to_dict()
         if result.telemetry is not None:
             record["telemetry"] = result.telemetry.to_dict()
         return record
 
 
 @dataclass(frozen=True)
-class ScenarioTask:
+class ScenarioTask(_SimTask):
     """One tenancy scenario run: spec JSON + dataset + shard counters.
 
     The worker rebuilds the served key array from the dataset identity
@@ -348,6 +227,8 @@ class ScenarioTask:
     :func:`repro.serve.tenancy.simulate_scenario`.
     """
 
+    kind = "scenario"
+
     spec_json: str
     dataset: str
     n_keys: int
@@ -355,29 +236,16 @@ class ScenarioTask:
     key_bits: int
     per_shard_counters: Tuple[Tuple[Tuple[str, float], ...], ...]
     fence: bool
-    machine: Tuple[Tuple[str, float], ...]
-    telemetry: Optional[Tuple[Tuple[str, object], ...]] = None
+    machine: MachineModel
+    telemetry: Optional[TelemetryConfig] = omit_default(None)
 
     def key_fields(self) -> dict:
-        import json
-
-        fields = {
-            "kind": "scenario",
-            "scenario": json.loads(self.spec_json),
-            "dataset": self.dataset,
-            "n_keys": self.n_keys,
-            "seed": self.seed,
-            "key_bits": self.key_bits,
-            "per_shard_counters": [dict(c) for c in self.per_shard_counters],
-            "fence": self.fence,
-            "machine": dict(self.machine),
-        }
-        if self.telemetry is not None:
-            fields["telemetry"] = _pairs(self.telemetry)
+        # The spec is keyed as an object under "scenario", not as text.
+        fields = super().key_fields()
+        fields["scenario"] = json.loads(fields.pop("spec_json"))
         return fields
 
     def run(self) -> dict:
-        from repro.serve.router import ShardMap
         from repro.serve.scenario import ScenarioSpec
         from repro.serve.tenancy import simulate_scenario
 
@@ -385,20 +253,15 @@ class ScenarioTask:
         ds = make_dataset(
             self.dataset, self.n_keys, seed=self.seed, key_bits=self.key_bits
         )
-        machine = _thaw_machine(self.machine)
-        services = [
-            _service_from_frozen(c, self.fence, machine)
-            for c in self.per_shard_counters
-        ]
         shard_map = ShardMap.from_keys(ds.keys, spec.topology.n_shards)
         result = simulate_scenario(
             spec,
-            services,
+            [self._service(c) for c in self.per_shard_counters],
             ds.keys,
             shard_map=shard_map,
-            telemetry=_thaw_telemetry(self.telemetry),
+            telemetry=self.telemetry,
         )
-        record = TenancyRunStats.from_result(result).to_record()
+        record = TenancyRunStats.from_result(result).to_dict()
         if result.telemetry is not None:
             record["telemetry"] = result.telemetry.to_dict()
         return record
@@ -424,13 +287,13 @@ def open_loop_task(
     return OpenLoopTask(
         counters=freeze_counters(measurement.counters),
         fence=fence,
-        machine=freeze_machine(machine),
+        machine=machine,
         shape=shape,
         rate_per_sec=rate_per_sec,
         n_requests=n_requests,
         seed=seed,
         n_cores=n_cores,
-        telemetry=freeze_telemetry(telemetry),
+        telemetry=telemetry,
     )
 
 
@@ -443,17 +306,17 @@ def cluster_task(
     seed: int,
     n_replicas: int,
     n_cores: int,
-    policy,
-    faults,
+    policy: RouterPolicy,
+    faults: Optional[FaultConfig],
     fault_horizon_ns: Optional[float],
     machine: MachineModel = MachineModel(),
     fence: bool = False,
     telemetry: Optional[TelemetryConfig] = None,
-    reconfig=None,
+    reconfig: Optional[ReconfigSpec] = None,
 ) -> ClusterTask:
     """The task one :func:`~repro.serve.cluster.simulate_cluster` run is.
 
-    A ``reconfig`` that is None *or has no triggers* freezes to None, so
+    A ``reconfig`` that is None *or has no triggers* is dropped, so
     attaching a no-op spec never perturbs cache keys.
     """
     from repro.bench.cells import freeze_counters
@@ -463,7 +326,7 @@ def cluster_task(
             freeze_counters(m.counters) for m in per_shard_measurements
         ),
         fence=fence,
-        machine=freeze_machine(machine),
+        machine=machine,
         shard_bounds=tuple(shard_map.lower_bounds),
         lookup_keys=tuple(int(k) for k in lookup_keys),
         rate_per_sec=rate_per_sec,
@@ -471,14 +334,12 @@ def cluster_task(
         seed=seed,
         n_replicas=n_replicas,
         n_cores=n_cores,
-        policy=_freeze_policy(policy),
-        faults=_freeze_faults(faults),
+        policy=policy,
+        faults=faults,
         fault_horizon_ns=fault_horizon_ns,
-        telemetry=freeze_telemetry(telemetry),
+        telemetry=telemetry,
         reconfig=(
-            None
-            if reconfig is None or not reconfig.enabled
-            else reconfig.to_json()
+            reconfig if reconfig is not None and reconfig.enabled else None
         ),
     )
 
@@ -507,8 +368,8 @@ def scenario_task(
             freeze_counters(m.counters) for m in per_shard_measurements
         ),
         fence=fence,
-        machine=freeze_machine(machine),
-        telemetry=freeze_telemetry(telemetry),
+        machine=machine,
+        telemetry=telemetry,
     )
 
 
@@ -537,27 +398,15 @@ def open_loop_summary(record: dict) -> Tuple[LatencySummary, SimStats]:
     )
 
 
-@dataclass(frozen=True)
-class ShardRunStats:
-    """Per-shard counters of a cluster record (mirrors ``ShardStats``)."""
-
-    shard: int
-    completed: int
-    retries: int
-    hedges: int
-    crashes: int
-    slow_events: int
-    max_queue_depth: int
-
-
 @dataclass
-class ClusterRunStats:
+class ClusterRunStats(Codec):
     """Everything the experiments read off a :class:`~repro.serve.
     cluster.ClusterResult`, reconstructible from a cached JSON record.
 
-    Accessors and :meth:`to_metrics` reproduce the original result's
-    values exactly (same fields, same float arithmetic, same counter
-    names), so a replayed record is indistinguishable from a fresh run.
+    Its codec form is the cached record.  :meth:`to_metrics` is the one
+    publisher of cluster metrics (:meth:`ClusterResult.to_metrics`
+    delegates here), so a replayed record publishes exactly what a
+    fresh run does.
     """
 
     requests: int
@@ -569,13 +418,19 @@ class ClusterRunStats:
     slow_events: int
     makespan_ns: float
     summary: Optional[LatencySummary]
-    shard_stats: List[ShardRunStats]
+    shard_stats: List[ShardStats]
     #: Reconfig topology outcome (static runs: 1 epoch, initial counts).
     #: ``final_replicas`` 0 marks a pre-reconfig record, whose replica
     #: count is unrecoverable; the gauge is skipped for those.
     epoch_count: int = 1
     final_shards: int = 0
     final_replicas: int = 0
+
+    def __post_init__(self):
+        # Records written before the reconfig fields existed are static
+        # runs: the final shard count is the initial one.
+        if not self.final_shards:
+            self.final_shards = len(self.shard_stats)
 
     @property
     def availability(self) -> float:
@@ -597,91 +452,19 @@ class ClusterRunStats:
             slow_events=result.slow_events,
             makespan_ns=result.makespan_ns,
             summary=result.summary() if result.completed else None,
-            shard_stats=[
-                ShardRunStats(
-                    shard=st.shard,
-                    completed=st.completed,
-                    retries=st.retries,
-                    hedges=st.hedges,
-                    crashes=st.crashes,
-                    slow_events=st.slow_events,
-                    max_queue_depth=st.max_queue_depth,
-                )
-                for st in result.shard_stats
-            ],
+            shard_stats=list(result.shard_stats),
             epoch_count=result.epoch_count,
             final_shards=result.final_shards,
             final_replicas=result.final_replicas,
         )
 
-    def to_record(self) -> dict:
-        return {
-            "requests": self.requests,
-            "completed": self.completed,
-            "failed": self.failed,
-            "total_retries": self.total_retries,
-            "total_hedges": self.total_hedges,
-            "crashes": self.crashes,
-            "slow_events": self.slow_events,
-            "makespan_ns": self.makespan_ns,
-            "summary": (
-                None if self.summary is None else self.summary.to_dict()
-            ),
-            "shard_stats": [
-                {
-                    "shard": st.shard,
-                    "completed": st.completed,
-                    "retries": st.retries,
-                    "hedges": st.hedges,
-                    "crashes": st.crashes,
-                    "slow_events": st.slow_events,
-                    "max_queue_depth": st.max_queue_depth,
-                }
-                for st in self.shard_stats
-            ],
-            "epoch_count": self.epoch_count,
-            "final_shards": self.final_shards,
-            "final_replicas": self.final_replicas,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "ClusterRunStats":
-        summary = record["summary"]
-        return cls(
-            requests=int(record["requests"]),
-            completed=int(record["completed"]),
-            failed=int(record["failed"]),
-            total_retries=int(record["total_retries"]),
-            total_hedges=int(record["total_hedges"]),
-            crashes=int(record["crashes"]),
-            slow_events=int(record["slow_events"]),
-            makespan_ns=float(record["makespan_ns"]),
-            summary=(
-                None if summary is None else LatencySummary.from_dict(summary)
-            ),
-            shard_stats=[
-                ShardRunStats(
-                    shard=int(st["shard"]),
-                    completed=int(st["completed"]),
-                    retries=int(st["retries"]),
-                    hedges=int(st["hedges"]),
-                    crashes=int(st["crashes"]),
-                    slow_events=int(st["slow_events"]),
-                    max_queue_depth=int(st["max_queue_depth"]),
-                )
-                for st in record["shard_stats"]
-            ],
-            # Records written before the reconfig fields existed fall
-            # back to "static run" (and 0 = unknown replica count).
-            epoch_count=int(record.get("epoch_count", 1)),
-            final_shards=int(
-                record.get("final_shards", len(record["shard_stats"]))
-            ),
-            final_replicas=int(record.get("final_replicas", 0)),
-        )
-
     def to_metrics(self, registry=None, prefix: str = "serve.cluster") -> None:
-        """Mirror of :meth:`ClusterResult.to_metrics`, same names/values."""
+        """Publish run counters into an obs metrics registry.
+
+        Per-shard queue-depth maxima and fault/retry counts land in the
+        same ``metrics.json`` snapshot as every other subsystem, and the
+        availability gauge keeps the *worst* value over repeated runs.
+        """
         from repro.obs.metrics import get_registry
 
         reg = registry if registry is not None else get_registry()
@@ -693,6 +476,8 @@ class ClusterRunStats:
         reg.counter(f"{prefix}.faults.crashes").inc(self.crashes)
         reg.counter(f"{prefix}.faults.slow").inc(self.slow_events)
         reg.gauge(f"{prefix}.availability.min").set_min(self.availability)
+        # Topology gauges: the autoscaler's inputs/outputs are observable
+        # even for static runs (final == initial there).
         reg.gauge(f"{prefix}.shards").set(float(self.final_shards))
         if self.final_replicas > 0:
             reg.gauge(f"{prefix}.replicas").set(float(self.final_replicas))
@@ -710,7 +495,7 @@ class ClusterRunStats:
 
 
 @dataclass
-class TenantRunStats:
+class TenantRunStats(Codec):
     """One tenant's slice of a scenario record (mirrors ``TenantStats``)."""
 
     tenant: int
@@ -741,9 +526,11 @@ class TenantRunStats:
 
 
 @dataclass
-class TenancyRunStats:
+class TenancyRunStats(Codec):
     """Everything the experiments read off a :class:`~repro.serve.
-    tenancy.TenancyResult`, reconstructible from a cached JSON record."""
+    tenancy.TenancyResult`, reconstructible from a cached JSON record
+    (its codec form); :meth:`to_metrics` is the one tenancy-metrics
+    publisher."""
 
     requests: int
     total_shed: int
@@ -793,80 +580,10 @@ class TenancyRunStats:
             final_replicas=result.cluster.final_replicas,
         )
 
-    def to_record(self) -> dict:
-        return {
-            "requests": self.requests,
-            "total_shed": self.total_shed,
-            "makespan_ns": self.makespan_ns,
-            "summary": (
-                None if self.summary is None else self.summary.to_dict()
-            ),
-            "tenants": [
-                {
-                    "tenant": ts.tenant,
-                    "name": ts.name,
-                    "slo_class": ts.slo_class,
-                    "p99_slo_ns": ts.p99_slo_ns,
-                    "requests": ts.requests,
-                    "completed": ts.completed,
-                    "failed": ts.failed,
-                    "shed": ts.shed,
-                    "retries": ts.retries,
-                    "hedges": ts.hedges,
-                    "summary": (
-                        None if ts.summary is None else ts.summary.to_dict()
-                    ),
-                    "requests_over_slo": ts.requests_over_slo,
-                }
-                for ts in self.tenants
-            ],
-            "epoch_count": self.epoch_count,
-            "final_shards": self.final_shards,
-            "final_replicas": self.final_replicas,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "TenancyRunStats":
-        summary = record["summary"]
-        return cls(
-            requests=int(record["requests"]),
-            total_shed=int(record["total_shed"]),
-            makespan_ns=float(record["makespan_ns"]),
-            summary=(
-                None if summary is None else LatencySummary.from_dict(summary)
-            ),
-            tenants=[
-                TenantRunStats(
-                    tenant=int(t["tenant"]),
-                    name=t["name"],
-                    slo_class=t["slo_class"],
-                    p99_slo_ns=(
-                        None
-                        if t["p99_slo_ns"] is None
-                        else float(t["p99_slo_ns"])
-                    ),
-                    requests=int(t["requests"]),
-                    completed=int(t["completed"]),
-                    failed=int(t["failed"]),
-                    shed=int(t["shed"]),
-                    retries=int(t["retries"]),
-                    hedges=int(t["hedges"]),
-                    summary=(
-                        None
-                        if t["summary"] is None
-                        else LatencySummary.from_dict(t["summary"])
-                    ),
-                    requests_over_slo=int(t["requests_over_slo"]),
-                )
-                for t in record["tenants"]
-            ],
-            epoch_count=int(record.get("epoch_count", 1)),
-            final_shards=int(record.get("final_shards", 0)),
-            final_replicas=int(record.get("final_replicas", 0)),
-        )
-
     def to_metrics(self, registry=None, prefix: str = "serve.tenancy") -> None:
-        """Mirror of :meth:`TenancyResult.to_metrics`, same names/values."""
+        """Publish per-tenant latency/violation/shed counters into an
+        obs metrics registry, mirroring :meth:`ClusterRunStats.to_metrics`.
+        """
         from repro.obs.metrics import get_registry
 
         reg = registry if registry is not None else get_registry()

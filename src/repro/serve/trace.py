@@ -23,12 +23,12 @@ stream a direct :func:`~repro.serve.cluster.simulate_cluster` call would
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.codec import canonical_json, content_hash
 from repro.serve.scenario import ScenarioSpec
 
 #: Bump when the trace layout or merge rule changes meaning.
@@ -118,6 +118,8 @@ class TenantTrace:
         )
 
     # -- serialization ------------------------------------------------------
+    # Numpy arrays are not codec fields, so the layout is spelled out
+    # here; the canonical form and the content hash are the codec's.
 
     def to_dict(self) -> dict:
         # float64 -> repr via tolist() round-trips exactly through JSON.
@@ -131,10 +133,10 @@ class TenantTrace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TenantTrace":
-        schema = int(d.get("schema", TRACE_SCHEMA_VERSION))
-        if schema != TRACE_SCHEMA_VERSION:
+        if d.get("schema") != TRACE_SCHEMA_VERSION:
             raise ValueError(
-                f"trace schema {schema} != {TRACE_SCHEMA_VERSION}"
+                f"TenantTrace schema {d.get('schema')!r} != "
+                f"{TRACE_SCHEMA_VERSION}"
             )
         return cls(
             arrivals_ns=d["arrivals_ns"],
@@ -144,7 +146,7 @@ class TenantTrace:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "TenantTrace":
@@ -161,7 +163,7 @@ class TenantTrace:
 
     def content_key(self) -> str:
         """Stable content hash of the serialized trace."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:40]
+        return content_hash(self.to_dict())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TenantTrace):

@@ -18,9 +18,7 @@ from repro.serve.router import RouterPolicy, request_keys
 from repro.serve.scenario import (
     AdmissionSpec,
     ArrivalSpec,
-    FaultSpec,
     KeySpaceSpec,
-    PolicySpec,
     ScenarioSpec,
     TenantSpec,
     TopologySpec,
@@ -74,8 +72,8 @@ def rich_spec() -> ScenarioSpec:
             ),
         ),
         topology=TopologySpec(n_shards=4, n_replicas=2, n_cores=2),
-        policy=PolicySpec(hedge_after_ns=5e4, batch_window_ns=100.0),
-        faults=FaultSpec(crash_mttf_ns=1e7, crash_mttr_ns=1e6, seed=9),
+        policy=RouterPolicy(hedge_after_ns=5e4, batch_window_ns=100.0),
+        faults=FaultConfig(crash_mttf_ns=1e7, crash_mttr_ns=1e6, seed=9),
         admission=AdmissionSpec(
             enabled=True, bronze_depth=4, silver_depth=12
         ),
@@ -210,35 +208,54 @@ class TestValidation:
 
 
 class TestPolicyAndFaultBridges:
+    """A spec holds the simulator's own RouterPolicy and FaultConfig."""
+
     def test_policy_spec_round_trips_router_policy(self):
         policy = RouterPolicy(
             hedge_after_ns=123.0, max_attempts=3, batch_window_ns=7.0
         )
-        spec = PolicySpec.from_router_policy(policy)
-        assert spec.to_router_policy() == policy
-        assert PolicySpec.from_dict(spec.to_dict()) == spec
+        spec = single_tenant_spec(1e5, 50, policy=policy)
+        again = ScenarioSpec.from_json(spec.to_json())
+        assert again.policy == policy
+        assert isinstance(again.policy, RouterPolicy)
 
     def test_default_policy_is_degenerate(self):
-        assert PolicySpec().to_router_policy() == RouterPolicy()
+        assert single_tenant_spec(1e5, 50).policy == RouterPolicy()
 
     def test_fault_spec_round_trips_fault_config(self):
         config = FaultConfig(
             crash_mttf_ns=1e6, crash_mttr_ns=2e5, slow_mttf_ns=3e6, seed=4
         )
-        spec = FaultSpec.from_fault_config(config)
-        assert spec.to_fault_config() == config
-        assert FaultSpec.from_dict(spec.to_dict()) == spec
+        spec = single_tenant_spec(1e5, 50, faults=config)
+        again = ScenarioSpec.from_json(spec.to_json())
+        assert again.faults == config
+        assert again.faults.enabled
 
     def test_disabled_faults_convert_to_none(self):
-        assert FaultSpec().to_fault_config() is None
-        assert not FaultSpec().enabled
-        assert FaultSpec.from_fault_config(None) == FaultSpec()
+        """The all-defaults config is a fault-free cluster: the tenancy
+        layer passes no fault config at all."""
+        from repro.memsim.counters import PerfCountersF
+        from repro.serve.core import ServiceModel
+        from repro.serve.tenancy import simulate_scenario
+
+        spec = single_tenant_spec(1e5, 50)
+        assert spec.faults == FaultConfig()
+        assert not spec.faults.enabled
+        keys = np.arange(0, 1000, 7, dtype=np.uint64)
+        result = simulate_scenario(
+            spec, [ServiceModel(PerfCountersF(instructions=300.0))], keys
+        )
+        assert result.cluster.crashes == 0
 
     def test_invalid_knobs_rejected_at_spec_level(self):
+        spec = single_tenant_spec(1e5, 50).to_dict()
+        spec["policy"]["max_attempts"] = 0
         with pytest.raises(ValueError):
-            PolicySpec(max_attempts=0)
+            ScenarioSpec.from_dict(spec)
+        spec = single_tenant_spec(1e5, 50).to_dict()
+        spec["faults"]["crash_mttf_ns"] = -1.0
         with pytest.raises(ValueError):
-            FaultSpec(crash_mttf_ns=-1.0)
+            ScenarioSpec.from_dict(spec)
 
 
 class TestArrivalSpecGenerate:

@@ -8,7 +8,7 @@ Pins the layer's contract from ``docs/serving.md``:
   zero executions, and the replayed selection is byte-identical;
 * cache keys are path-invariant -- a record computed by the Lindley
   kernel equals the event loop's, and no key field mentions an engine;
-* run records round-trip losslessly (``to_record``/``from_record``)
+* run records round-trip losslessly (``to_dict``/``from_dict``)
   and mirror the live result objects' derived values exactly.
 """
 
@@ -19,13 +19,18 @@ import pytest
 
 from repro.bench.cache import CACHE_SCHEMA_VERSION, SimResultCache, sim_key
 from repro.memsim.counters import PerfCountersF
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.cluster import Cluster, simulate_cluster
 from repro.serve.contention import MachineModel
 from repro.serve.core import ServiceModel
 from repro.serve.arrivals import poisson_arrivals
 from repro.serve.metrics import LatencySummary
 from repro.serve.router import RouterPolicy, ShardMap, request_keys
-from repro.serve.scenario import TopologySpec, single_tenant_spec
+from repro.serve.scenario import (
+    AdmissionSpec,
+    TopologySpec,
+    single_tenant_spec,
+)
 from repro.serve.selector import select_cluster_under_slo, select_under_slo
 from repro.serve.sweep import (
     ClusterRunStats,
@@ -230,7 +235,7 @@ class TestRunRecords:
 
     def test_cluster_stats_round_trip(self):
         stats = ClusterRunStats.from_result(self.cluster_result())
-        again = ClusterRunStats.from_record(stats.to_record())
+        again = ClusterRunStats.from_dict(stats.to_dict())
         assert again == stats
         assert again.availability == stats.availability
         assert again.max_queue_depth == stats.max_queue_depth
@@ -265,7 +270,7 @@ class TestRunRecords:
             shard_map=ShardMap.from_keys(raw, 2),
         )
         stats = TenancyRunStats.from_result(result)
-        again = TenancyRunStats.from_record(stats.to_record())
+        again = TenancyRunStats.from_dict(stats.to_dict())
         assert again == stats
         assert again.summary == result.summary()
         only = again.by_name(spec.tenants[0].name)
@@ -277,6 +282,63 @@ class TestRunRecords:
         assert only.slo_met() == live.slo_met()
         with pytest.raises(KeyError):
             again.by_name("nope")
+
+    def tenancy_result(self):
+        from repro.serve.tenancy import simulate_scenario
+
+        raw = np.unique(
+            np.random.default_rng(1).integers(
+                0, 2**40, size=4000, dtype=np.uint64
+            )
+        )
+        spec = single_tenant_spec(
+            rate_per_sec=2e6,
+            n_requests=300,
+            seed=3,
+            topology=TopologySpec(n_shards=2, n_replicas=1, n_cores=1),
+        ).with_admission(AdmissionSpec(enabled=True, gold_depth=2))
+        return simulate_scenario(
+            spec,
+            [ServiceModel(counters()), ServiceModel(counters(900))],
+            raw,
+            shard_map=ShardMap.from_keys(raw, 2),
+        )
+
+    def test_cluster_metrics_match_run_stats_metrics(self):
+        result = self.cluster_result()
+        live, replayed = MetricsRegistry(), MetricsRegistry()
+        result.to_metrics(live)
+        stats = ClusterRunStats.from_result(result)
+        ClusterRunStats.from_dict(stats.to_dict()).to_metrics(replayed)
+        assert live.snapshot() == replayed.snapshot()
+        assert "serve.cluster.replicas" in live.snapshot()["gauges"]
+
+    def test_tenancy_metrics_match_run_stats_metrics(self):
+        result = self.tenancy_result()
+        assert result.total_shed > 0
+        live, replayed = MetricsRegistry(), MetricsRegistry()
+        result.to_metrics(live, prefix="t")
+        stats = TenancyRunStats.from_result(result)
+        TenancyRunStats.from_dict(stats.to_dict()).to_metrics(
+            replayed, prefix="t"
+        )
+        assert live.snapshot() == replayed.snapshot()
+
+    def test_legacy_cluster_record_defaults(self):
+        """Records written before the reconfig fields existed decode as
+        a static run with an unknown replica count."""
+        record = ClusterRunStats.from_result(self.cluster_result()).to_dict()
+        for name in ("epoch_count", "final_shards", "final_replicas"):
+            del record[name]
+        legacy = ClusterRunStats.from_dict(record)
+        assert legacy.epoch_count == 1
+        assert legacy.final_shards == len(legacy.shard_stats) == 2
+        assert legacy.final_replicas == 0
+        reg = MetricsRegistry()
+        legacy.to_metrics(reg)
+        gauges = reg.snapshot()["gauges"]
+        assert "serve.cluster.replicas" not in gauges
+        assert gauges["serve.cluster.shards"] == 2.0
 
     def test_latency_summary_dict_round_trip(self):
         s = LatencySummary(
@@ -339,7 +401,7 @@ class TestShapeAndFaultBranches:
             2, 2, RouterPolicy(), faults, 1.5 * span, MachineModel(),
         )
         record = run_sim_tasks([task])[0]
-        stats = ClusterRunStats.from_record(record)
+        stats = ClusterRunStats.from_dict(record)
         cluster = Cluster(
             shard_map=shard_map,
             services=[ServiceModel.from_measurement(per_shard[0])],
@@ -380,7 +442,7 @@ class TestScenarioTaskParity:
             ds.keys,
             shard_map=ShardMap.from_keys(ds.keys, 2),
         )
-        assert TenancyRunStats.from_record(record) == (
+        assert TenancyRunStats.from_dict(record) == (
             TenancyRunStats.from_result(direct)
         )
 
@@ -412,7 +474,7 @@ class TestClusterTaskParity:
         direct = simulate_cluster(
             cluster, poisson_arrivals(rate, n_req, seed), lookup_keys
         )
-        assert ClusterRunStats.from_record(record) == (
+        assert ClusterRunStats.from_dict(record) == (
             ClusterRunStats.from_result(direct)
         )
 

@@ -41,7 +41,6 @@ from repro.serve.scenario import (
 from repro.serve.sweep import (
     clear_sim_results,
     cluster_task,
-    freeze_telemetry,
     open_loop_task,
     run_sim_tasks,
 )
@@ -350,10 +349,14 @@ class TestSweepTelemetry:
         # same fields, so cached artifacts stay valid.
         assert sim_key(off) == sim_key(self.task(keys))
 
-    def test_freeze_rejects_traces(self):
-        assert freeze_telemetry(None) is None
+    def test_freeze_rejects_traces(self, keys):
+        """Task constructors refuse per-attempt traces."""
         with pytest.raises(ValueError, match="traces"):
-            freeze_telemetry(tel(traces=True))
+            open_loop_task(
+                fake_measurement(), RATE, N_REQ, 7, 1, telemetry=tel(True)
+            )
+        with pytest.raises(ValueError, match="traces"):
+            self.task(keys, telemetry=tel(traces=True))
 
     def test_open_loop_task_with_telemetry(self):
         t = open_loop_task(
